@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -247,7 +248,8 @@ class PlanarHull:
     reconstructed from their 2D coordinates, so they sit exactly on the plane.
     ``normal``/``offset`` are copies of the plane's implicit form at build
     time, which keeps the in-polygon distance branch bitwise identical to
-    point_plane_sq_dist.
+    point_plane_sq_dist.  A hull is never modified in place, so the edge
+    arrays and the containment tolerance are computed once, on first use.
     """
 
     vertices: np.ndarray
@@ -258,10 +260,22 @@ class PlanarHull:
     normal: np.ndarray
     offset: float
 
-    @property
+    @cached_property
     def contain_tol(self) -> float:
         extent = float(np.max(np.ptp(self.verts2d, axis=0)))
         return _CONTAIN_RTOL * max(extent, 1e-12) ** 2
+
+    @cached_property
+    def edge_vectors(self) -> np.ndarray:
+        """(nverts, 2) vector from each 2D vertex to the next one."""
+        return np.roll(self.verts2d, -1, axis=0) - self.verts2d
+
+    @cached_property
+    def edge_sq_lengths(self) -> np.ndarray:
+        """Squared edge lengths, with 1 standing in for zero-length edges."""
+        e = self.edge_vectors
+        ee = np.sum(e * e, axis=1)
+        return np.where(ee > 0, ee, 1.0)
 
     def to_2d(self, points: np.ndarray) -> np.ndarray:
         rel = np.atleast_2d(np.asarray(points, float)) - self.origin
@@ -269,15 +283,121 @@ class PlanarHull:
 
     def contains_2d(self, pts2d: np.ndarray) -> np.ndarray:
         """Non-strict membership of 2D points in the hull polygon."""
-        q = np.atleast_2d(pts2d)
-        a = self.verts2d
-        b = np.roll(a, -1, axis=0)
-        e = b - a
-        # cross(e_i, q - a_i) for every edge/point pair: (npts, nedges)
-        cr = e[None, :, 0] * (q[:, None, 1] - a[None, :, 1]) - e[None, :, 1] * (
-            q[:, None, 0] - a[None, :, 0]
-        )
-        return np.all(cr >= -self.contain_tol, axis=1)
+        q = np.atleast_2d(pts2d)[:, None, :]
+        return _inside_polygons(
+            q, self.verts2d[None], self.edge_vectors[None], np.array([self.contain_tol])
+        )[:, 0]
+
+
+def _inside_polygons(
+    q: np.ndarray, starts: np.ndarray, edges: np.ndarray, tol: np.ndarray
+) -> np.ndarray:
+    """(npts, npolys) non-strict membership of q (npts, npolys, 2) in each polygon.
+
+    ``starts``/``edges`` are (npolys, nedges, 2); a point is inside when
+    cross(e_i, q - a_i) clears -tol for every edge of its polygon.
+    """
+    a = starts[None]
+    e = edges[None]
+    qq = q[:, :, None, :]
+    cr = e[..., 0] * (qq[..., 1] - a[..., 1]) - e[..., 1] * (qq[..., 0] - a[..., 0])
+    return np.all(cr >= -tol[None, :, None], axis=2)
+
+
+def _boundary_sq_dist(
+    q: np.ndarray, starts: np.ndarray, edges: np.ndarray, edge_sq: np.ndarray
+) -> np.ndarray:
+    """(npts, npolys) min squared 2D distance from q (npts, npolys, 2) to each boundary."""
+    qq = q[:, :, None, :]
+    diff = qq - starts[None]
+    t = np.clip(np.sum(diff * edges[None], axis=3) / edge_sq[None], 0.0, 1.0)
+    proj = starts[None] + t[..., None] * edges[None]
+    d2 = np.sum((qq - proj) ** 2, axis=3)
+    return np.min(d2, axis=2)
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis of two broadcast arrays.
+
+    Every entry goes through the same matmul routine as a single-row
+    ``point @ normal``, so a stacked evaluation equals the per-patch,
+    per-point one bit for bit (a plain multiply-and-sum rounds differently).
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+class HullStack:
+    """Hulls of several patches stacked along a leading patch axis.
+
+    Each hull's 2D vertex and edge arrays are padded to a common capacity by
+    repeating its last real edge, so the every-edge containment test and the
+    min-over-edges boundary distance give the unpadded results.  ``set``
+    replaces one hull; the capacity grows by doubling when a hull outgrows it.
+    """
+
+    def __init__(self, hulls: list[PlanarHull]) -> None:
+        n = len(hulls)
+        cap = max((len(h.verts2d) for h in hulls), default=3)
+        self.origin = np.empty((n, 3))
+        self.axis_u = np.empty((n, 3))
+        self.axis_v = np.empty((n, 3))
+        self.normal = np.empty((n, 3))
+        self.offset = np.empty(n)
+        self.tol = np.empty(n)
+        self.starts = np.empty((n, cap, 2))
+        self.edges = np.empty((n, cap, 2))
+        self.edge_sq = np.empty((n, cap))
+        for j, hull in enumerate(hulls):
+            self.set(j, hull)
+
+    @property
+    def capacity(self) -> int:
+        return self.starts.shape[1]
+
+    def set(self, j: int, hull: PlanarHull) -> None:
+        """Make ``hull`` the j-th stacked hull."""
+        nv = len(hull.verts2d)
+        if nv > self.capacity:
+            cap = self.capacity
+            while cap < nv:
+                cap *= 2
+            pad = cap - self.capacity
+            # the last column already holds every row's last real edge
+            self.starts, self.edges, self.edge_sq = (
+                np.concatenate([arr, np.repeat(arr[:, -1:], pad, axis=1)], axis=1)
+                for arr in (self.starts, self.edges, self.edge_sq)
+            )
+        self.origin[j] = hull.origin
+        self.axis_u[j] = hull.axis_u
+        self.axis_v[j] = hull.axis_v
+        self.normal[j] = hull.normal
+        self.offset[j] = hull.offset
+        self.tol[j] = hull.contain_tol
+        self.starts[j, :nv] = hull.verts2d
+        self.starts[j, nv:] = hull.verts2d[-1]
+        self.edges[j, :nv] = hull.edge_vectors
+        self.edges[j, nv:] = hull.edge_vectors[-1]
+        self.edge_sq[j, :nv] = hull.edge_sq_lengths
+        self.edge_sq[j, nv:] = hull.edge_sq_lengths[-1]
+
+    def to_2d(self, points: np.ndarray) -> np.ndarray:
+        """(npts, nhulls, 2) in-plane coordinates of every point in every hull frame."""
+        rel = np.asarray(points, float)[:, None, :] - self.origin[None]
+        u = _dot_rows(rel, self.axis_u[None])
+        v = _dot_rows(rel, self.axis_v[None])
+        return np.stack((u, v), axis=2)
+
+    def signed_dist(self, points: np.ndarray) -> np.ndarray:
+        """(npts, nhulls) signed distance of every point to every hull plane."""
+        return _dot_rows(np.asarray(points, float)[:, None, :], self.normal[None]) + self.offset
+
+    def contains_2d(self, q: np.ndarray) -> np.ndarray:
+        """(npts, nhulls) membership of q (npts, nhulls, 2), as PlanarHull.contains_2d."""
+        return _inside_polygons(q, self.starts, self.edges, self.tol)
+
+    def boundary_sq_dist_2d(self, q: np.ndarray) -> np.ndarray:
+        """(npts, nhulls) min squared distance of q (npts, nhulls, 2) to each boundary."""
+        return _boundary_sq_dist(q, self.starts, self.edges, self.edge_sq)
 
 
 def _frame_for_plane(plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
@@ -352,19 +472,12 @@ def update_hull(
     return build_hull(plane, all_points)
 
 
-def _point_edges_sq_dist_2d(q: np.ndarray, verts2d: np.ndarray) -> np.ndarray:
+def _point_edges_sq_dist_2d(q: np.ndarray, hull: PlanarHull) -> np.ndarray:
     """Min squared 2D distance from each query point to the polygon boundary."""
-    q = np.atleast_2d(q)
-    a = verts2d
-    b = np.roll(a, -1, axis=0)
-    e = b - a
-    ee = np.sum(e * e, axis=1)
-    ee_safe = np.where(ee > 0, ee, 1.0)
-    diff = q[:, None, :] - a[None, :, :]
-    t = np.clip(np.sum(diff * e[None, :, :], axis=2) / ee_safe, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * e[None, :, :]
-    d2 = np.sum((q[:, None, :] - proj) ** 2, axis=2)
-    return np.min(d2, axis=1)
+    q = np.atleast_2d(q)[:, None, :]
+    return _boundary_sq_dist(
+        q, hull.verts2d[None], hull.edge_vectors[None], hull.edge_sq_lengths[None]
+    )[:, 0]
 
 
 def point_hull_sq_dist(hull: PlanarHull, point: np.ndarray) -> float:
@@ -379,7 +492,7 @@ def point_hull_sq_dist(hull: PlanarHull, point: np.ndarray) -> float:
     q = hull.to_2d(p)
     if bool(hull.contains_2d(q)[0]):
         return s * s
-    lat = float(_point_edges_sq_dist_2d(q, hull.verts2d)[0])
+    lat = float(_point_edges_sq_dist_2d(q, hull)[0])
     return s * s + lat
 
 
@@ -391,7 +504,7 @@ def point_hull_sq_dist_many(hull: PlanarHull, points: np.ndarray) -> np.ndarray:
     inside = hull.contains_2d(q)
     if not np.all(inside):
         idx = np.where(~inside)[0]
-        out[idx] += _point_edges_sq_dist_2d(q[idx], hull.verts2d)
+        out[idx] += _point_edges_sq_dist_2d(q[idx], hull)
     return out
 
 

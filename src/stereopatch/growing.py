@@ -7,6 +7,15 @@ log posterior provided that posterior clears a per-point threshold built from
 the global acceptance level and the point's noise penalty.  Rejected points
 return to the far end of the queue and are retried after the patches have
 grown.
+
+All patches grow in parallel, so every queued point is scored against every
+live patch.  ``PatchStack`` does this in one vectorised pass: it holds each
+patch's plane, hull and Gamma parameters along a patch axis and evaluates an
+(n points x n patches) log-posterior matrix.  The image-prior term and the
+two-camera visibility depend only on the point and the patch's segment pair,
+which nothing changes during growth, so ``grow`` computes them once for the
+whole cloud, together with the mask of points each seed pruned; after an
+accept only that patch's row of the stack is re-read.
 """
 
 from __future__ import annotations
@@ -19,11 +28,9 @@ import numpy as np
 
 from . import geometry
 from .distributions import GammaParams, gamma_mle
-from .stereo import PointCloud, StereoRig, noise_model_offset, project_many
+from .stereo import _DIST_CLAMP, PointCloud, StereoRig, noise_model_offset, project_many
 
 logger = logging.getLogger(__name__)
-
-_DIST_CLAMP = 1e-12
 
 
 @dataclass
@@ -32,7 +39,9 @@ class GrowConfig:
 
     ``log_threshold`` is the acceptance level in log space; the boundary
     weight mixes the hull distance into the joint point-to-patch distance and
-    the intensity weight scales the image-prior contribution.  With
+    the intensity weight scales the image-prior contribution, which growth
+    evaluates once per point and patch.  Each point is scored against all
+    patches at once by the stacked scorer (``PatchStack``).  With
     ``batch_size`` > 1 several points are classified against the same patch
     state before the fits are refreshed.
     """
@@ -77,6 +86,17 @@ class PointState:
     def reject(self, indices, patch_id: int) -> None:
         for i in np.asarray(indices, dtype=int):
             self.rejected_by.setdefault(int(i), set()).add(patch_id)
+
+    def barred(self, patch_ids: list[int]) -> np.ndarray:
+        """(n_points, n_patches) mask of the points each listed patch rejected."""
+        column = {pid: j for j, pid in enumerate(patch_ids)}
+        out = np.zeros((len(self), len(patch_ids)), dtype=bool)
+        for i, pids in self.rejected_by.items():
+            for pid in pids:
+                j = column.get(pid)
+                if j is not None:
+                    out[i, j] = True
+        return out
 
     def available_mask(self) -> np.ndarray:
         return self.assigned_to < 0
@@ -151,34 +171,109 @@ def joint_distance_many(patch: Patch, positions: np.ndarray) -> np.ndarray:
     if not np.all(inside):
         idx = np.where(~inside)[0]
         s = pts[idx] @ patch.hull.normal + patch.hull.offset
-        lateral = geometry._point_edges_sq_dist_2d(q[idx], patch.hull.verts2d)
+        lateral = geometry._point_edges_sq_dist_2d(q[idx], patch.hull)
         out[idx] = d_plane[idx] + w * (s * s + lateral)
     return np.maximum(out, _DIST_CLAMP)
 
 
-def log_posterior(patch: Patch, position: np.ndarray, rig: StereoRig) -> float:
-    """Unnormalized log posterior of one 3D point belonging to the patch."""
-    return float(_scores_for_patch(patch, np.asarray(position, float)[None, :], rig)[0])
+def _image_prior(
+    patches: list[Patch], positions: np.ndarray, rig: StereoRig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Image-prior term zeta*(z_l/2(1-rho_l^2) + z_r/2(1-rho_r^2)) per point and patch.
 
-
-def _scores_for_patch(patch: Patch, positions: np.ndarray, rig: StereoRig) -> np.ndarray:
-    d = joint_distance_many(patch, positions)
+    Returns the (n_points, n_patches) term and the (n_points,) mask of points
+    that project into both cameras.
+    """
     pl, okl = project_many(rig.camera_left, positions)
     pr, okr = project_many(rig.camera_right, positions)
-    el = patch.pair.ellipse_left
-    er = patch.pair.ellipse_right
-    zl = el.mahalanobis(pl)
-    zr = er.mahalanobis(pr)
-    oml = 1.0 - el.correlation**2
-    omr = 1.0 - er.correlation**2
-    zeta = patch.intensity_weight
-    scores = (
-        (patch.theta.shape - 1.0) * np.log(d)
-        - zeta * (zl / (2.0 * oml) + zr / (2.0 * omr))
-        - d / patch.theta.scale
-        + patch.log_const
-    )
-    return np.where(okl & okr, scores, -np.inf)
+    prior = np.empty((len(positions), len(patches)))
+    for j, patch in enumerate(patches):
+        el = patch.pair.ellipse_left
+        er = patch.pair.ellipse_right
+        oml = 1.0 - el.correlation**2
+        omr = 1.0 - er.correlation**2
+        zl = el.mahalanobis(pl)
+        zr = er.mahalanobis(pr)
+        prior[:, j] = patch.intensity_weight * (zl / (2.0 * oml) + zr / (2.0 * omr))
+    return prior, okl & okr
+
+
+class PatchStack:
+    """The stacked scorer: the log posterior of points against every patch at once.
+
+    It is built over a fixed point set (during growth, the whole cloud).  The
+    image prior, the two-camera visibility and the points each patch has
+    rejected (``state``) are evaluated once for all of those points, since
+    growth does not change them.  Plane, hull and Gamma parameters are
+    stacked along a patch axis; ``refresh`` re-reads one patch after it has
+    accepted points.  Each entry takes the same floating-point operations, in
+    the same order, as scoring that one point against that one patch alone.
+    """
+
+    def __init__(
+        self,
+        patches: list[Patch],
+        positions: np.ndarray,
+        rig: StereoRig,
+        state: PointState | None = None,
+    ) -> None:
+        self.patches = list(patches)
+        self.positions = np.atleast_2d(np.asarray(positions, float))
+        self.prior, visible = _image_prior(self.patches, self.positions, rig)
+        self.blocked = ~visible[:, None]
+        if state is not None:
+            self.blocked = self.blocked | state.barred([p.id for p in self.patches])
+        self._column = {p.id: j for j, p in enumerate(self.patches)}
+        n = len(self.patches)
+        self.hulls = geometry.HullStack([p.hull for p in self.patches])
+        self.plane = np.empty((n, 4))
+        self.weight = np.empty(n)
+        self.shape = np.empty(n)
+        self.scale = np.empty(n)
+        self.log_const = np.empty(n)
+        for j in range(n):
+            self._load(j)
+
+    def refresh(self, patch_id: int) -> None:
+        """Re-read the stacked row of one patch, after it accepted points."""
+        self._load(self._column[patch_id])
+
+    def _load(self, j: int) -> None:
+        patch = self.patches[j]
+        self.plane[j] = patch.plane.implicit
+        self.weight[j] = patch.boundary_weight
+        self.shape[j] = patch.theta.shape
+        self.scale[j] = patch.theta.scale
+        self.log_const[j] = patch.log_const
+        self.hulls.set(j, patch.hull)
+
+    def scores(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), n_patches) log posteriors of the given points.
+
+        The joint distance is as in ``joint_distance_many``; blocked entries
+        are -inf.
+        """
+        pts = self.positions[rows]
+        r = geometry._dot_rows(pts[:, None, :], self.plane[None, :, :3]) + self.plane[:, 3]
+        d_plane = r * r
+        q = self.hulls.to_2d(pts)
+        s = self.hulls.signed_dist(pts)
+        lateral = self.hulls.boundary_sq_dist_2d(q)
+        d = np.where(
+            self.hulls.contains_2d(q),
+            (1.0 + self.weight) * d_plane,
+            d_plane + self.weight * (s * s + lateral),
+        )
+        d = np.maximum(d, _DIST_CLAMP)
+        scores = (
+            (self.shape - 1.0) * np.log(d) - self.prior[rows] - d / self.scale + self.log_const
+        )
+        return np.where(self.blocked[rows], -np.inf, scores)
+
+
+def log_posterior(patch: Patch, position: np.ndarray, rig: StereoRig) -> float:
+    """Unnormalized log posterior of one 3D point belonging to the patch."""
+    return float(posterior_scores([patch], np.asarray(position, float)[None, :], rig)[0, 0])
 
 
 def posterior_scores(
@@ -186,10 +281,7 @@ def posterior_scores(
 ) -> np.ndarray:
     """(n_points, n_patches) matrix of log posteriors."""
     pts = np.atleast_2d(np.asarray(positions, float))
-    scores = np.full((len(pts), len(patches)), -np.inf)
-    for j, patch in enumerate(patches):
-        scores[:, j] = _scores_for_patch(patch, pts, rig)
-    return scores
+    return PatchStack(patches, pts, rig).scores(np.arange(len(pts)))
 
 
 def classify(
@@ -212,38 +304,34 @@ def classify_batch(
     cfg: GrowConfig,
     rig: StereoRig,
     state: PointState | None = None,
+    stack: PatchStack | None = None,
 ) -> list[int | None]:
     """Vectorized classification of several points against the current patches.
 
     The winner is the argmax of the log posteriors (ties go to the lowest
     patch id); it is accepted only when the winning posterior clears
     log_threshold + noise penalty + noise-model offset for that point.
+    Patches that rejected a point in ``state`` are barred for it.  ``stack``
+    is the stacked scorer of ``patches`` over ``cloud`` with ``state``'s
+    rejections, as ``grow`` keeps it; without one it is built for this call.
     """
     if rig.noise_model is None:
         raise ValueError("rig has no calibrated noise model")
     if cloud.penalty is None:
         raise ValueError("cloud has no noise penalties; run attach_penalty first")
     idx = np.asarray(indices, dtype=int)
-    scores = posterior_scores(patches, cloud.positions[idx], rig)
-    if state is not None:
-        id_to_col = {p.id: j for j, p in enumerate(patches)}
-        for row, i in enumerate(idx):
-            for pid in state.rejected_by.get(int(i), ()):
-                col = id_to_col.get(pid)
-                if col is not None:
-                    scores[row, col] = -np.inf
+    if not patches:
+        return [None] * len(idx)
+    if stack is None:
+        stack = PatchStack(patches, cloud.positions, rig, state)
+    scores = stack.scores(idx)
     # np.argmax returns the first maximum, and patches are kept sorted by id,
     # so exact ties resolve to the lowest patch id
     best_col = np.argmax(scores, axis=1)
     best = scores[np.arange(len(idx)), best_col]
     threshold = cfg.log_threshold + cloud.penalty[idx] + noise_model_offset(rig.noise_model)
-    out: list[int | None] = []
-    for row in range(len(idx)):
-        if np.isfinite(best[row]) and best[row] >= threshold[row]:
-            out.append(patches[best_col[row]].id)
-        else:
-            out.append(None)
-    return out
+    ok = np.isfinite(best) & (best >= threshold)
+    return [patches[col].id if good else None for col, good in zip(best_col, ok)]
 
 
 def accept(patch: Patch, cloud: PointCloud, state: PointState, indices) -> None:
@@ -293,6 +381,8 @@ def grow(
     first while the patches are still small; rejected points are re-inserted
     at the top and come around again in the next epoch.  The loop ends when a
     full epoch accepts nothing, or after ``max_epochs`` (flagged truncated).
+    Without patches nothing can be accepted: no epoch runs and every
+    available point stays unassigned.
     """
     centers = rig.camera_centers()
     avail = state.available_indices()
@@ -300,7 +390,12 @@ def grow(
     # stable descending sort; index breaks ties deterministically
     order = np.lexsort((avail, -cam_d))
     queue: deque[int] = deque(int(i) for i in avail[order])
+    if not patches:
+        return GrowResult(patches, [int(i) for i in queue], 0, False, 0)
 
+    # seed_patch is the only writer of state.rejected_by, so the barred mask
+    # the stack takes from it holds for the whole loop
+    stack = PatchStack(patches, cloud.positions, rig, state)
     epochs = 0
     truncated = False
     accepted_total = 0
@@ -311,7 +406,7 @@ def grow(
     while queue:
         k = min(cfg.batch_size, len(queue), epoch_remaining)
         batch = [queue.pop() for _ in range(k)]
-        decisions = classify_batch(patches, cloud, np.array(batch), cfg, rig, state)
+        decisions = classify_batch(patches, cloud, np.array(batch), cfg, rig, state, stack)
         taken: dict[int, list[int]] = {}
         for point_idx, decision in zip(batch, decisions):
             if decision is None:
@@ -320,6 +415,7 @@ def grow(
                 taken.setdefault(decision, []).append(point_idx)
         for pid in sorted(taken):
             accept(patches_by_id[pid], cloud, state, taken[pid])
+            stack.refresh(pid)
             n_taken = len(taken[pid])
             epoch_accepted += n_taken
             accepted_total += n_taken

@@ -16,11 +16,9 @@ import numpy as np
 from . import geometry
 from .distributions import gamma_mle
 from .growing import Patch, PointState
-from .stereo import PointCloud
+from .stereo import _DIST_CLAMP, PointCloud
 
 logger = logging.getLogger(__name__)
-
-_DIST_CLAMP = 1e-12
 
 
 @dataclass

@@ -17,11 +17,9 @@ from scipy import ndimage
 from . import geometry
 from .distributions import GammaParams, gamma_mle, gamma_sum_approx
 from .growing import Patch, PointState
-from .stereo import EllipsePrior, PointCloud, StereoRig, triangulate
+from .stereo import _DIST_CLAMP, EllipsePrior, PointCloud, StereoRig, triangulate
 
 logger = logging.getLogger(__name__)
-
-_DIST_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)

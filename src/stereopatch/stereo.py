@@ -63,9 +63,14 @@ def project(camera: np.ndarray, point: np.ndarray) -> np.ndarray:
 
 
 def project_many(camera: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch projection.  Returns (pixels (n,2), valid mask)."""
+    """Batch projection.  Returns (pixels (n,2), valid mask).
+
+    Each point is multiplied as its own (1,3) row, so its pixels are bitwise
+    the same whichever other points share the call (one matrix product over
+    all rows rounds differently for a general camera).
+    """
     pts = np.atleast_2d(np.asarray(points, float))
-    h = pts @ camera[:, :3].T + camera[:, 3]
+    h = (pts[:, None, :] @ camera[:, :3].T)[:, 0, :] + camera[:, 3]
     valid = np.abs(h[:, 2]) >= _W_EPS
     w = np.where(valid, h[:, 2], 1.0)
     return h[:, :2] / w[:, None], valid

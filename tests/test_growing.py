@@ -2,17 +2,19 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from stereopatch import pipeline, synth
-from stereopatch.distributions import GammaParams
-from stereopatch.geometry import PlaneForm, build_hull, fit_plane
+from stereopatch import growing, pipeline, synth
+from stereopatch.distributions import GammaParams, WeibullParams
+from stereopatch.geometry import PlaneForm, build_hull, fit_plane, point_plane_sq_dist
 from stereopatch.growing import (
     GrowConfig,
     Patch,
+    PatchStack,
     PointState,
     accept,
     classify,
@@ -20,11 +22,13 @@ from stereopatch.growing import (
     grow,
     joint_distance,
     log_posterior,
+    posterior_scores,
 )
-from stereopatch.seeding import SeedConfig, SegmentPair, seed_patch
+from stereopatch.seeding import SeedConfig, SegmentPair, seed_all, seed_patch, segment_to_pairs
 from stereopatch.stereo import (
     EllipsePrior,
     PointCloud,
+    StereoRig,
     noise_model_offset,
     project,
     project_many,
@@ -96,8 +100,6 @@ def build_micro(n=1000, seed=0, half=0.5, depth=4.0, noise=0.001):
         pair, cloud, SeedConfig(), rig, state, 0, boundary_weight=cfg.boundary_weight
     )
     assert isinstance(patch, Patch)
-    from types import SimpleNamespace
-
     return SimpleNamespace(
         cloud=cloud, rig=rig, pair=pair, state=state, patch=patch, cfg=cfg
     )
@@ -236,14 +238,65 @@ def test_threshold_offset_is_the_weibull_constant():
 # -- classification -----------------------------------------------------------
 
 
-def test_batch_classification_matches_single_calls(micro):
+def build_seeded(preset="random-planes-4", points_per_face=150, seed=0):
+    """A small synthetic scene, prepared and seeded but not grown."""
+    spec = synth.SceneSpec(preset, points_per_face, 0.001, seed)
+    rig = synth.default_rig(spec.pixel_noise)
+    cloud, _, segments = synth.generate(spec, rig)
+    cfg = pipeline.RunConfig().for_scene(spec.scene_id)
+    pipeline.prepare(cloud, rig, seed=spec.seed)
+    pairs = segment_to_pairs(
+        [left for left, _ in segments],
+        [right for _, right in segments],
+        [(i, i) for i in range(len(segments))],
+        rig,
+    )
+    patches, state, _ = seed_all(
+        pairs,
+        cloud,
+        cfg.seed_cfg,
+        rig,
+        cfg.grow_cfg.boundary_weight,
+        cfg.grow_cfg.intensity_weight,
+    )
+    return SimpleNamespace(cloud=cloud, rig=rig, patches=patches, state=state, cfg=cfg.grow_cfg)
+
+
+@pytest.fixture(scope="module")
+def seeded():
+    scene = build_seeded()
+    assert len(scene.patches) >= 3
+    assert scene.state.rejected_by, "the scene should carry seed-pruned points"
+    return scene
+
+
+def test_batch_classification_matches_single_calls(micro, seeded):
     rng = np.random.default_rng(55)
-    idx = rng.choice(len(micro.cloud), size=40, replace=False)
-    batch = classify_batch([micro.patch], micro.cloud, idx, micro.cfg, micro.rig)
-    singles = [
-        classify([micro.patch], micro.cloud, int(i), micro.cfg, micro.rig) for i in idx
-    ]
-    assert batch == singles
+    for scene, patches, state in (
+        (micro, [micro.patch], None),
+        (seeded, seeded.patches, seeded.state),
+    ):
+        available = scene.state.available_indices()
+        idx = rng.choice(available, size=40, replace=False)
+        barred = [i for i in scene.state.rejected_by if scene.state.assigned_to[i] < 0]
+        idx = np.concatenate([idx, barred[:5]])
+        batch = classify_batch(patches, scene.cloud, idx, scene.cfg, scene.rig, state)
+        singles = [
+            classify(patches, scene.cloud, int(i), scene.cfg, scene.rig, state) for i in idx
+        ]
+        assert batch == singles
+        assert any(b is not None for b in batch)
+
+
+def test_no_patches_classify_nothing(micro):
+    idx = np.arange(5)
+    assert classify_batch([], micro.cloud, idx, micro.cfg, micro.rig) == [None] * 5
+    state = PointState(len(micro.cloud))
+    result = grow([], micro.cloud, micro.cfg, micro.rig, state)
+    assert (result.epochs, result.accepted, result.truncated) == (0, 0, False)
+    assert result.patches == []
+    assert sorted(result.unassigned) == list(range(len(micro.cloud)))
+    assert not np.any(state.assigned_to >= 0)
 
 
 def test_far_point_is_unclassifiable(micro):
@@ -310,6 +363,193 @@ def test_shifting_every_score_keeps_the_winner(path_run):
         assert up == base
         compared += 1
     assert compared >= 80
+
+
+# -- the stacked scorer -------------------------------------------------------
+
+
+def verged_rig():
+    """Canonical intrinsics with the right camera turned 0.1 rad about y.
+
+    A point on the plane z = 0 is then at infinity for the left camera only.
+    """
+    k = np.array([[700.0, 0, 400], [0, 700, 300], [0, 0, 1]])
+    c, s = math.cos(0.1), math.sin(0.1)
+    rot = np.array([[c, 0, -s], [0, 1, 0], [s, 0, c]])
+    left = k @ np.hstack([np.eye(3), np.zeros((3, 1))])
+    right = k @ np.hstack([rot, [[-0.2], [0.0], [0.0]]])
+    return StereoRig(left, right, 0.001, 0.001, (800, 600))
+
+
+def polygon_patch(pid, n_sides, center, radius, tilt, rig, weight, zeta, theta, inertia):
+    """Patch whose hull is a regular n-gon on a tilted plane near depth 4."""
+    ang = 2.0 * np.pi * np.arange(n_sides) / n_sides + 0.3
+    x = center[0] + radius * np.cos(ang)
+    y = center[1] + radius * np.sin(ang)
+    corners = np.column_stack([x, y, 4.0 + tilt[0] * x + tilt[1] * y])
+    plane = fit_plane(corners, PlaneForm.Z)
+    hull = build_hull(plane, corners)
+    assert len(hull.vertices) == n_sides
+    mid = corners.mean(axis=0)
+    pair = SegmentPair(
+        EllipsePrior(project(rig.camera_left, mid), np.asarray(inertia, float), 0.5, "left"),
+        EllipsePrior(project(rig.camera_right, mid), np.asarray(inertia, float)[::-1], 0.5, "right"),
+        mid,
+    )
+    return Patch(pid, plane, hull, [], theta, pair, weight, zeta)
+
+
+def polygon_scene():
+    """Four patches with 3, 4, 6 and 8 hull vertices, a tied twin, and probe points."""
+    rig = verged_rig()
+    patches = [
+        polygon_patch(0, 3, (-1.0, -0.5), 0.6, (0.05, 0.10), rig, 0.3, 1.0,
+                      GammaParams(2.4, 0.05), (60.0, 12.0, 40.0)),
+        polygon_patch(1, 4, (1.0, -0.5), 0.5, (-0.10, 0.02), rig, 1.5, 0.7,
+                      GammaParams(1.6, 0.2), (30.0, -5.0, 50.0)),
+        polygon_patch(2, 6, (-0.5, 1.0), 0.7, (0.00, -0.08), rig, 0.05, 1.3,
+                      GammaParams(3.1, 0.02), (80.0, 20.0, 25.0)),
+        polygon_patch(3, 8, (1.2, 1.2), 0.4, (0.12, 0.12), rig, 2.0, 0.4,
+                      GammaParams(1.2, 0.5), (45.0, 0.0, 45.0)),
+    ]
+    patches.append(replace(patches[1], id=4))  # exact twin of patch 1
+    rng = np.random.default_rng(56)
+    xy = rng.uniform(-2.0, 2.5, (40, 2))
+    probes = np.column_stack([xy, 4.0 + rng.uniform(-0.4, 0.4, 40)])
+    centres = np.array([p.pair.seed + [0.0, 0.0, 0.2] for p in patches[:4]])
+    invisible = np.array([[1.0, 0.5, 0.0]])  # z = 0: at infinity for the left camera
+    positions = np.vstack([probes, centres, invisible])
+    return SimpleNamespace(rig=rig, patches=patches, positions=positions, n_probes=40)
+
+
+def reference_score(patch, p, rig):
+    """Log posterior composed from module pieces and the oracles, point by point."""
+    try:
+        z_pixels = (project(rig.camera_left, p), project(rig.camera_right, p))
+    except ValueError:
+        return -math.inf
+    verts = patch.hull.vertices
+    lateral = min(
+        float(oracles.point_triangle_sq_dist(p[None, :], verts[0], verts[k], verts[k + 1])[0])
+        for k in range(1, len(verts) - 1)
+    )
+    d = max(point_plane_sq_dist(patch.plane, p) + patch.boundary_weight * lateral, 1e-12)
+    prior = 0.0
+    moments = 1.0
+    for e, px in zip((patch.pair.ellipse_left, patch.pair.ellipse_right), z_pixels):
+        dx, dy = px - e.centroid
+        k1, k2, k3 = e.inertia
+        z = dx * dx / k1 - 2.0 * k2 * dx * dy / (k1 * k3) + dy * dy / k3
+        om = 1.0 - k2 * k2 / (k1 * k3)
+        prior += z / (2.0 * om)
+        moments *= om * k1 * k3
+    return (
+        float(oracles.ref_gamma_logpdf(d, patch.theta.shape, patch.theta.scale))
+        - patch.intensity_weight * prior
+        - 0.5 * math.log(moments)
+    )
+
+
+def test_stacked_scores_match_per_patch_reference():
+    scene = polygon_scene()
+    scores = posterior_scores(scene.patches, scene.positions, scene.rig)
+    assert scores.shape == (len(scene.positions), len(scene.patches))
+    for i, p in enumerate(scene.positions):
+        for j, patch in enumerate(scene.patches):
+            expect = reference_score(patch, p, scene.rig)
+            if math.isinf(expect):
+                assert scores[i, j] == expect
+            else:
+                assert scores[i, j] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    assert np.all(scores[-1] == -np.inf)
+    _, ok_right = project_many(scene.rig.camera_right, scene.positions[-1:])
+    assert ok_right[0]  # invisible to the left camera only
+    # every hull sees probe points on both sides of its boundary
+    for patch in scene.patches:
+        inside = patch.hull.contains_2d(patch.hull.to_2d(scene.positions[: scene.n_probes]))
+        assert 0 < np.count_nonzero(inside) < scene.n_probes
+
+
+def test_stacked_scorer_bars_rejected_points_and_ties_to_the_lower_id():
+    scene = polygon_scene()
+    n = len(scene.positions)
+    cloud = PointCloud(scene.positions, np.zeros((n, 2)), np.zeros((n, 2)))
+    cloud.penalty = np.zeros(n)
+    scene.rig.noise_model = WeibullParams(1.0, 1.0)
+    cfg = GrowConfig(log_threshold=-1e9)
+    rows = np.arange(n)
+    free = PatchStack(scene.patches, cloud.positions, scene.rig).scores(rows)
+
+    centre_of_2 = scene.n_probes + 2
+    assert np.argmax(free[centre_of_2]) == 2
+    state = PointState(n)
+    state.reject([centre_of_2], 2)
+    barred = PatchStack(scene.patches, cloud.positions, scene.rig, state).scores(rows)
+    assert barred[centre_of_2, 2] == -np.inf
+    barred[centre_of_2, 2] = free[centre_of_2, 2]
+    assert np.array_equal(barred, free)
+
+    got = classify_batch(scene.patches, cloud, rows, cfg, scene.rig, state)
+    others = free[centre_of_2].copy()
+    others[2] = -np.inf
+    assert got[centre_of_2] == scene.patches[int(np.argmax(others))].id
+    assert got[-1] is None  # invisible point
+
+    centre_of_1 = scene.n_probes + 1
+    assert free[centre_of_1, 1] == free[centre_of_1, 4]
+    assert np.argmax(free[centre_of_1]) == 1
+    assert got[centre_of_1] == 1
+    assert sum(g == 4 for g in got) == 0  # the twin loses every tie
+
+
+def test_refreshed_stack_equals_a_rebuilt_stack():
+    # Accepting a ring of points around the triangle turns its hull into a
+    # 12-gon, past the stack's capacity of 8; the refreshed row must then
+    # score exactly as a stack rebuilt from the current patches.
+    scene = polygon_scene()
+    tri = scene.patches[0]
+    ang = 2.0 * np.pi * np.arange(12) / 12
+    ring = np.column_stack(
+        [-1.0 + 1.1 * np.cos(ang), -0.5 + 1.1 * np.sin(ang), np.zeros(12)]
+    )
+    a, b, c, d = tri.plane.implicit
+    ring[:, 2] = -(a * ring[:, 0] + b * ring[:, 1] + d) / c
+    positions = np.vstack([tri.hull.vertices, scene.positions[:-1], ring])
+    n = len(positions)
+    cloud = PointCloud(positions, np.zeros((n, 2)), np.zeros((n, 2)))
+    state = PointState(n)
+    patches = [replace(p, members=[]) for p in scene.patches]
+    patches[0].members = [0, 1, 2]
+    state.assign([0, 1, 2], 0)
+    stack = PatchStack(patches, cloud.positions, scene.rig, state)
+    assert stack.hulls.capacity == 8
+
+    accept(patches[0], cloud, state, np.arange(n - 12, n))
+    assert len(patches[0].hull.vertices) == 12
+    rows = state.available_indices()
+    stale = stack.scores(rows)
+    stack.refresh(0)
+    assert stack.hulls.capacity == 16
+    fresh = PatchStack(patches, cloud.positions, scene.rig, state)
+    assert np.array_equal(stack.scores(rows), fresh.scores(rows))
+    assert not np.array_equal(stale, fresh.scores(rows))
+
+
+def test_growth_keeps_its_stack_equal_to_a_fresh_one(monkeypatch):
+    scene = build_seeded()
+    seen = []
+    real = growing.classify_batch
+
+    def checked(patches, cloud, indices, cfg, rig, state=None, stack=None):
+        fresh = PatchStack(patches, cloud.positions, rig, state)
+        assert np.array_equal(stack.scores(indices), fresh.scores(indices))
+        seen.append(stack.hulls.capacity)
+        return real(patches, cloud, indices, cfg, rig, state, stack)
+
+    monkeypatch.setattr(growing, "classify_batch", checked)
+    result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.state)
+    assert result.accepted > 0
+    assert max(seen) > seen[0]  # some hull outgrew the padding during growth
 
 
 # -- accepting points ---------------------------------------------------------

@@ -82,6 +82,17 @@ def test_many_point_round_trip_in_world_units():
     assert np.max(np.linalg.norm(back - pts, axis=1)) <= 1e-8
 
 
+def test_batch_projection_is_independent_of_the_batch():
+    rng = np.random.default_rng(42)
+    camera = rng.normal(size=(3, 4))
+    pts = rng.normal(size=(300, 3))
+    pixels, valid = project_many(camera, pts)
+    for i in range(len(pts)):
+        row_pixels, row_valid = project_many(camera, pts[i])
+        assert np.array_equal(row_pixels[0], pixels[i])
+        assert row_valid[0] == valid[i]
+
+
 # -- triangulation ------------------------------------------------------------
 
 
