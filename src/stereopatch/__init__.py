@@ -8,103 +8,4 @@ A synthetic-scene harness generates ground-truth planar scenes and scores
 extractions against them.
 """
 
-from .distributions import (
-    GammaParams,
-    WeibullParams,
-    gamma_log_pdf,
-    gamma_mle,
-    gamma_sum_approx,
-    weibull_fit,
-    weibull_log_pdf,
-)
-from .geometry import (
-    Plane,
-    PlaneForm,
-    PlanarHull,
-    build_hull,
-    choose_plane_form,
-    fit_plane,
-    hull_hull_min_sq_dist,
-    point_hull_sq_dist,
-    update_fit,
-    update_hull,
-)
-from .growing import GrowConfig, GrowResult, Patch, PointState, grow
-from .pipeline import PipelineError, PipelineResult, RunConfig, run_pipeline, verify_extraction
-from .refinement import RefineConfig, refine
-from .seeding import SeedConfig, SegmentPair, naive_segment, seed_all, seed_patch
-from .stereo import (
-    EllipsePrior,
-    PointCloud,
-    ScenePoint,
-    StereoRig,
-    attach_penalty,
-    attach_uncertainty,
-    calibrate_noise_model,
-    reconstruction_uncertainty,
-    triangulate,
-)
-from .synth import (
-    Face,
-    GroundTruth,
-    SceneSpec,
-    classification_error,
-    default_rig,
-    generate,
-    ssd_error,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "EllipsePrior",
-    "Face",
-    "GammaParams",
-    "GroundTruth",
-    "GrowConfig",
-    "GrowResult",
-    "Patch",
-    "PipelineError",
-    "PipelineResult",
-    "Plane",
-    "PlaneForm",
-    "PlanarHull",
-    "PointCloud",
-    "PointState",
-    "RefineConfig",
-    "RunConfig",
-    "SceneSpec",
-    "ScenePoint",
-    "SeedConfig",
-    "SegmentPair",
-    "StereoRig",
-    "WeibullParams",
-    "attach_penalty",
-    "attach_uncertainty",
-    "build_hull",
-    "calibrate_noise_model",
-    "choose_plane_form",
-    "classification_error",
-    "default_rig",
-    "fit_plane",
-    "gamma_log_pdf",
-    "gamma_mle",
-    "gamma_sum_approx",
-    "generate",
-    "grow",
-    "hull_hull_min_sq_dist",
-    "naive_segment",
-    "point_hull_sq_dist",
-    "reconstruction_uncertainty",
-    "refine",
-    "run_pipeline",
-    "seed_all",
-    "seed_patch",
-    "ssd_error",
-    "triangulate",
-    "update_fit",
-    "update_hull",
-    "verify_extraction",
-    "weibull_fit",
-    "weibull_log_pdf",
-]

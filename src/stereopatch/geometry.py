@@ -60,11 +60,8 @@ class Plane:
     def normal(self) -> np.ndarray:
         return self.implicit[:3]
 
-    def sq_dist(self, point: np.ndarray) -> float:
-        d = float(np.dot(np.asarray(point, float), self.implicit[:3]) + self.implicit[3])
-        return d * d
-
     def sq_dist_many(self, points: np.ndarray) -> np.ndarray:
+        """Squared perpendicular distances (AX + BY + CZ + D)^2 of (n, 3) points."""
         r = np.asarray(points, float) @ self.implicit[:3] + self.implicit[3]
         return r * r
 
@@ -106,14 +103,6 @@ def _accumulate(points: np.ndarray, form: PlaneForm) -> np.ndarray:
             np.sum(w),
         ]
     )
-
-
-def _point_contrib(point: np.ndarray, form: PlaneForm) -> np.ndarray:
-    dep, i1, i2 = _FORM_AXES[form]
-    a = float(point[i1])
-    b = float(point[i2])
-    w = float(point[dep])
-    return np.array([a * a, a * b, a, b * b, b, 1.0, a * w, b * w, w])
 
 
 def _solve_sums(sums: np.ndarray) -> np.ndarray:
@@ -165,15 +154,8 @@ def fit_plane(points: np.ndarray, form: PlaneForm) -> Plane:
     return Plane(form, coeffs, _to_implicit(form, coeffs), sums, len(pts))
 
 
-def update_fit(plane: Plane, point: np.ndarray) -> Plane:
-    """Fold one more point into the fit.  The plane form never changes."""
-    sums = plane.sums + _point_contrib(np.asarray(point, float), plane.form)
-    coeffs = _solve_sums(sums)
-    return Plane(plane.form, coeffs, _to_implicit(plane.form, coeffs), sums, plane.n_points + 1)
-
-
 def update_fit_many(plane: Plane, points: np.ndarray) -> Plane:
-    """Batch version of update_fit (one solve for the whole batch)."""
+    """Fold more points into the fit with one solve.  The plane form never changes."""
     pts = np.asarray(points, float).reshape(-1, 3)
     if len(pts) == 0:
         return plane
@@ -188,11 +170,6 @@ def fit_residuals(plane: Plane, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, float)
     u, v, d = plane.coeffs
     return u * pts[:, i1] + v * pts[:, i2] + d - pts[:, dep]
-
-
-def point_plane_sq_dist(plane: Plane, point: np.ndarray) -> float:
-    """Squared perpendicular distance (AX + BY + CZ + D)^2."""
-    return plane.sq_dist(point)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +225,7 @@ class PlanarHull:
     reconstructed from their 2D coordinates, so they sit exactly on the plane.
     ``normal``/``offset`` are copies of the plane's implicit form at build
     time, which keeps the in-polygon distance branch bitwise identical to
-    point_plane_sq_dist.  A hull is never modified in place, so the edge
+    Plane.sq_dist_many.  A hull is never modified in place, so the edge
     arrays and the containment tolerance are computed once, on first use.
     """
 
@@ -278,8 +255,7 @@ class PlanarHull:
         return np.where(ee > 0, ee, 1.0)
 
     def to_2d(self, points: np.ndarray) -> np.ndarray:
-        rel = np.atleast_2d(np.asarray(points, float)) - self.origin
-        return np.column_stack((rel @ self.axis_u, rel @ self.axis_v))
+        return _to_frame(points, self.origin, self.axis_u, self.axis_v)
 
     def contains_2d(self, pts2d: np.ndarray) -> np.ndarray:
         """Non-strict membership of 2D points in the hull polygon."""
@@ -400,12 +376,26 @@ class HullStack:
         return _boundary_sq_dist(q, self.starts, self.edges, self.edge_sq)
 
 
-def _frame_for_plane(plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+def _to_frame(points: np.ndarray, origin: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(n, 2) coordinates of 3D points in the in-plane frame (origin, u, v)."""
+    rel = np.atleast_2d(np.asarray(points, float)) - origin
+    return np.column_stack((rel @ u, rel @ v))
+
+
+def _project(plane: Plane, points: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Points' 2D coordinates in the plane's hull frame, and the frame
+    (origin, axis_u, axis_v, normal, offset) as PlanarHull holds it."""
     normal = plane.implicit[:3].copy()
     offset = float(plane.implicit[3])
     origin = -offset * normal  # closest point of the plane to the world origin
     u, v = _plane_basis(normal)
-    return origin, u, v, normal, offset
+    return _to_frame(points, origin, u, v), (origin, u, v, normal, offset)
+
+
+def _lifted_hull(verts2d: np.ndarray, frame: tuple) -> PlanarHull:
+    """Hull whose 3D vertices are lifted from their 2D coordinates, so they lie on the plane."""
+    origin, u, v = frame[:3]
+    return PlanarHull(origin + verts2d[:, :1] * u + verts2d[:, 1:] * v, verts2d, *frame)
 
 
 def build_hull(plane: Plane, points: np.ndarray) -> PlanarHull:
@@ -414,16 +404,11 @@ def build_hull(plane: Plane, points: np.ndarray) -> PlanarHull:
     Raises ValueError("degenerate hull") when fewer than 3 distinct vertices
     survive (collinear projections).
     """
-    origin, u, v, normal, offset = _frame_for_plane(plane)
-    pts = np.asarray(points, float)
-    rel = pts - origin
-    pts2d = np.column_stack((rel @ u, rel @ v))
+    pts2d, frame = _project(plane, points)
     idx = monotone_chain(pts2d)
     if len(idx) < 3:
         raise ValueError("degenerate hull")
-    verts2d = pts2d[idx]
-    vertices = origin + verts2d[:, :1] * u + verts2d[:, 1:] * v
-    return PlanarHull(vertices, verts2d, origin, u, v, normal, offset)
+    return _lifted_hull(pts2d[idx], frame)
 
 
 def hull_from_vertices(plane: Plane, vertices: np.ndarray) -> PlanarHull:
@@ -433,13 +418,11 @@ def hull_from_vertices(plane: Plane, vertices: np.ndarray) -> PlanarHull:
     write-read-write cycle stays byte stable) and only the working frame and
     2D coordinates are recomputed from the plane.
     """
-    origin, u, v, normal, offset = _frame_for_plane(plane)
     verts = np.asarray(vertices, float).reshape(-1, 3)
     if len(verts) < 3:
         raise ValueError("degenerate hull")
-    rel = verts - origin
-    verts2d = np.column_stack((rel @ u, rel @ v))
-    return PlanarHull(verts, verts2d, origin, u, v, normal, offset)
+    verts2d, frame = _project(plane, verts)
+    return PlanarHull(verts, verts2d, *frame)
 
 
 def update_hull(
@@ -452,18 +435,7 @@ def update_hull(
     member points only runs when some new point lands outside the current
     polygon; interior acceptances keep the vertex set.
     """
-    origin, u, v, normal, offset = _frame_for_plane(plane)
-    rel = hull.vertices - origin
-    verts2d = np.column_stack((rel @ u, rel @ v))
-    reprojected = PlanarHull(
-        origin + verts2d[:, :1] * u + verts2d[:, 1:] * v,
-        verts2d,
-        origin,
-        u,
-        v,
-        normal,
-        offset,
-    )
+    reprojected = _lifted_hull(*_project(plane, hull.vertices))
     new_pts = np.atleast_2d(np.asarray(new_points, float))
     if len(new_pts) == 0:
         return reprojected
@@ -480,23 +452,13 @@ def _point_edges_sq_dist_2d(q: np.ndarray, hull: PlanarHull) -> np.ndarray:
     )[:, 0]
 
 
-def point_hull_sq_dist(hull: PlanarHull, point: np.ndarray) -> float:
-    """Squared distance from a point to the solid hull polygon.
+def point_hull_sq_dist_many(hull: PlanarHull, points: np.ndarray) -> np.ndarray:
+    """Squared distances from (n, 3) points to the solid hull polygon.
 
-    When the point's projection falls inside the polygon this equals the
+    When a point's projection falls inside the polygon this equals the
     squared plane distance exactly; otherwise the lateral boundary term is
     added (the polygon is planar, so the two components are orthogonal).
     """
-    p = np.asarray(point, float)
-    s = float(np.dot(p, hull.normal) + hull.offset)
-    q = hull.to_2d(p)
-    if bool(hull.contains_2d(q)[0]):
-        return s * s
-    lat = float(_point_edges_sq_dist_2d(q, hull)[0])
-    return s * s + lat
-
-
-def point_hull_sq_dist_many(hull: PlanarHull, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, float))
     s = pts @ hull.normal + hull.offset
     out = s * s
@@ -603,11 +565,6 @@ def polygon_centroid_3d(vertices: np.ndarray) -> np.ndarray:
         return v.mean(axis=0)
     centroids = (v[0] + v[1:-1] + v[2:]) / 3.0
     return (areas[:, None] * centroids).sum(axis=0) / total
-
-
-def hull_centroid(hull: PlanarHull) -> np.ndarray:
-    """Area centroid of the hull polygon, in 3D."""
-    return polygon_centroid_3d(hull.vertices)
 
 
 def hull_is_convex(hull: PlanarHull) -> bool:

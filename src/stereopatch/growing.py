@@ -21,6 +21,8 @@ accept only that patch's row of the stack is re-read.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -31,6 +33,19 @@ from .distributions import GammaParams, gamma_mle
 from .stereo import _DIST_CLAMP, PointCloud, StereoRig, noise_model_offset, project_many
 
 logger = logging.getLogger(__name__)
+
+
+def _check_config(cfg, counts: tuple = (), reals: tuple = (), optional: tuple = ()) -> None:
+    """Raise ValueError unless each named ``counts`` field is an integer and each ``reals``
+    field a finite number; ``optional`` reals may also be None.  A bool is neither."""
+    for name in counts + reals + optional:
+        value = getattr(cfg, name)
+        if value is None and name in optional:
+            continue
+        kind = numbers.Integral if name in counts else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+            what = "an integer" if name in counts else "a finite number"
+            raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
 @dataclass
@@ -53,6 +68,9 @@ class GrowConfig:
     max_epochs: int = 60
 
     def __post_init__(self) -> None:
+        _check_config(
+            self, ("batch_size", "max_epochs"), ("log_threshold", "boundary_weight", "intensity_weight")
+        )
         if self.boundary_weight <= 0:
             raise ValueError("boundary weight must be positive")
         if self.batch_size < 1:
@@ -151,17 +169,13 @@ class Patch:
         )
 
 
-def joint_distance(patch: Patch, position: np.ndarray) -> float:
-    """Plane distance plus weighted hull distance, clamped away from zero.
-
-    When the point's projection falls inside the hull the boundary term
-    equals the plane term, so the joint distance collapses to
-    (1 + w) * plane distance without evaluating the hull at all.
-    """
-    return float(joint_distance_many(patch, np.asarray(position, float)[None, :])[0])
-
-
 def joint_distance_many(patch: Patch, positions: np.ndarray) -> np.ndarray:
+    """Plane distance plus weighted hull distance of (n, 3) points, clamped away from zero.
+
+    When a point's projection falls inside the hull the boundary term
+    equals the plane term, so the joint distance collapses to
+    (1 + w) * plane distance without evaluating the hull boundary.
+    """
     pts = np.atleast_2d(np.asarray(positions, float))
     d_plane = patch.plane.sq_dist_many(pts)
     w = patch.boundary_weight
@@ -271,30 +285,12 @@ class PatchStack:
         return np.where(self.blocked[rows], -np.inf, scores)
 
 
-def log_posterior(patch: Patch, position: np.ndarray, rig: StereoRig) -> float:
-    """Unnormalized log posterior of one 3D point belonging to the patch."""
-    return float(posterior_scores([patch], np.asarray(position, float)[None, :], rig)[0, 0])
-
-
 def posterior_scores(
     patches: list[Patch], positions: np.ndarray, rig: StereoRig
 ) -> np.ndarray:
-    """(n_points, n_patches) matrix of log posteriors."""
+    """(n_points, n_patches) unnormalized log posteriors of 3D points belonging to each patch."""
     pts = np.atleast_2d(np.asarray(positions, float))
     return PatchStack(patches, pts, rig).scores(np.arange(len(pts)))
-
-
-def classify(
-    patches: list[Patch],
-    cloud: PointCloud,
-    index: int,
-    cfg: GrowConfig,
-    rig: StereoRig,
-    state: PointState | None = None,
-) -> int | None:
-    """Best patch for one point, or None below the acceptance threshold."""
-    ids = classify_batch(patches, cloud, np.array([index]), cfg, rig, state)
-    return ids[0]
 
 
 def classify_batch(
@@ -306,7 +302,7 @@ def classify_batch(
     state: PointState | None = None,
     stack: PatchStack | None = None,
 ) -> list[int | None]:
-    """Vectorized classification of several points against the current patches.
+    """Best patch for each point, or None below the acceptance threshold.
 
     The winner is the argmax of the log posteriors (ties go to the lowest
     patch id); it is accepted only when the winning posterior clears

@@ -146,8 +146,8 @@ def load_cloud(path) -> tuple[PointCloud, np.ndarray, str | None]:
                 labels[i] = int(fields[7])
             except ValueError:
                 raise InputError(f"{path}: line {header_len + i}: bad numeric field") from None
-        if not np.all(np.isfinite(columns)):
-            raise InputError(f"{path}: non-finite vertex values")
+    if not np.all(np.isfinite(columns)):
+        raise InputError(f"{path}: non-finite vertex values")
 
     cloud = PointCloud(columns[:, 0:3], columns[:, 3:5], columns[:, 5:7])
     return cloud, labels, scene_id
@@ -416,19 +416,11 @@ def load_patches(path) -> ExtractionDocument:
 
 def load_config(path) -> "RunConfig":
     """Parse a config document into a RunConfig; unknown keys are errors."""
-    from dataclasses import replace
-
-    from .pipeline import RunConfig
+    from .pipeline import RunConfig, _with_blocks
 
     doc = _load_json(path, "config")
-    cfg = RunConfig()
     try:
-        if "seed" in doc:
-            cfg.seed_cfg = replace(cfg.seed_cfg, **doc["seed"])
-        if "grow" in doc:
-            cfg.grow_cfg = replace(cfg.grow_cfg, **doc["grow"])
-        if "refine" in doc:
-            cfg.refine_cfg = replace(cfg.refine_cfg, **doc["refine"])
+        cfg = _with_blocks(RunConfig(), doc)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
     presets = doc.get("presets", {})
@@ -438,12 +430,7 @@ def load_config(path) -> "RunConfig":
         if not isinstance(block, dict) or not set(block) <= {"seed", "grow", "refine"}:
             raise InputError(f"{path}: preset block {name!r} may only hold seed/grow/refine")
         try:
-            if "seed" in block:
-                replace(cfg.seed_cfg, **block["seed"])
-            if "grow" in block:
-                replace(cfg.grow_cfg, **block["grow"])
-            if "refine" in block:
-                replace(cfg.refine_cfg, **block["refine"])
+            _with_blocks(cfg, block)
         except (TypeError, ValueError) as exc:
             raise InputError(f"{path}: preset block {name!r}: {exc}") from None
     cfg.presets = presets

@@ -71,16 +71,17 @@ class RunConfig:
         preset = scene_id.split(":", 1)[0]
         base = preset.rsplit("-", 1)[0] if preset.rsplit("-", 1)[-1].isdigit() else preset
         block = self.presets.get(preset) or self.presets.get(base)
-        if not block:
-            return self
-        cfg = RunConfig(self.seed_cfg, self.grow_cfg, self.refine_cfg, self.presets)
-        if "seed" in block:
-            cfg.seed_cfg = replace(cfg.seed_cfg, **block["seed"])
-        if "grow" in block:
-            cfg.grow_cfg = replace(cfg.grow_cfg, **block["grow"])
-        if "refine" in block:
-            cfg.refine_cfg = replace(cfg.refine_cfg, **block["refine"])
-        return cfg
+        return _with_blocks(self, block) if block else self
+
+
+def _with_blocks(cfg: RunConfig, block: dict) -> RunConfig:
+    """Copy of ``cfg`` with the field overrides of a block's seed/grow/refine entries."""
+    return RunConfig(
+        replace(cfg.seed_cfg, **block.get("seed", {})),
+        replace(cfg.grow_cfg, **block.get("grow", {})),
+        replace(cfg.refine_cfg, **block.get("refine", {})),
+        cfg.presets,
+    )
 
 
 @dataclass

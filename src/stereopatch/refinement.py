@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry
 from .distributions import gamma_mle
-from .growing import Patch, PointState
+from .growing import Patch, PointState, _check_config
 from .stereo import _DIST_CLAMP, PointCloud
 
 logger = logging.getLogger(__name__)
@@ -36,6 +36,11 @@ class RefineConfig:
     min_area: float | None = None
     intensity_tol: float = 0.1
 
+    def __post_init__(self) -> None:
+        _check_config(
+            self, ("min_members",), ("normal_dot_min", "intensity_tol"), ("hull_dist_max", "min_area")
+        )
+
     def resolved(self, cloud: PointCloud, seed_radius: float) -> "RefineConfig":
         hull_dist = self.hull_dist_max
         if hull_dist is None:
@@ -46,11 +51,6 @@ class RefineConfig:
         return RefineConfig(
             self.normal_dot_min, hull_dist, self.min_members, min_area, self.intensity_tol
         )
-
-
-def hull_area(hull: geometry.PlanarHull) -> float:
-    """Area of the patch boundary polygon."""
-    return geometry.hull_area(hull)
 
 
 def _merge(a: Patch, b: Patch, cloud: PointCloud) -> Patch:
@@ -101,12 +101,12 @@ def refine(
 
     kept: list[Patch] = []
     for patch in sorted(patches, key=lambda p: p.id):
-        if len(patch.members) < cfg.min_members or hull_area(patch.hull) < cfg.min_area:
+        if len(patch.members) < cfg.min_members or geometry.hull_area(patch.hull) < cfg.min_area:
             logger.info(
                 "discarding patch %d (%d members, area %.3g)",
                 patch.id,
                 len(patch.members),
-                hull_area(patch.hull),
+                geometry.hull_area(patch.hull),
             )
             if state is not None:
                 state.release(patch.members)

@@ -16,7 +16,7 @@ from scipy import ndimage
 
 from . import geometry
 from .distributions import GammaParams, gamma_mle, gamma_sum_approx
-from .growing import Patch, PointState
+from .growing import Patch, PointState, _check_config
 from .stereo import _DIST_CLAMP, EllipsePrior, PointCloud, StereoRig, triangulate
 
 logger = logging.getLogger(__name__)
@@ -51,6 +51,11 @@ class SeedConfig:
     overlap_drop: float = 0.8
 
     def __post_init__(self) -> None:
+        _check_config(
+            self, ("min_cluster",), ("radius_frac", "overlap_drop"), ("radius", "inlier_residual")
+        )
+        if self.radius_frac <= 0:
+            raise ValueError("radius fraction must be positive")
         if self.min_cluster < 4:
             raise ValueError("min cluster must be at least 4")
         if not 0.0 < self.overlap_drop <= 1.0:
@@ -145,6 +150,12 @@ def naive_segment(
     return [e for _, e in found[:max_segments]]
 
 
+def _area_key(seg: EllipsePrior) -> float:
+    """Square root of the segment's moment determinant, which grows with its area."""
+    xx, xy, yy = seg.inertia
+    return float(np.sqrt(max(xx * yy - xy * xy, 0.0)))
+
+
 def pair_segments_by_rank(
     left_segments: list[EllipsePrior], right_segments: list[EllipsePrior]
 ) -> list[tuple[int, int]]:
@@ -153,13 +164,8 @@ def pair_segments_by_rank(
     This is a crude stand-in for real correspondence matching and is only
     reliable when both views see the same segments at similar scales.
     """
-
-    def area_key(seg: EllipsePrior) -> float:
-        xx, xy, yy = seg.inertia
-        return float(np.sqrt(max(xx * yy - xy * xy, 0.0)))
-
-    lorder = sorted(range(len(left_segments)), key=lambda i: -area_key(left_segments[i]))
-    rorder = sorted(range(len(right_segments)), key=lambda i: -area_key(right_segments[i]))
+    lorder = sorted(range(len(left_segments)), key=lambda i: -_area_key(left_segments[i]))
+    rorder = sorted(range(len(right_segments)), key=lambda i: -_area_key(right_segments[i]))
     return list(zip(lorder, rorder))
 
 
@@ -274,12 +280,7 @@ def seed_all(
     """
     state = PointState(len(cloud))
     radius = cfg.resolve_radius(cloud)
-
-    def area_key(pair: SegmentPair) -> float:
-        xx, xy, yy = pair.ellipse_left.inertia
-        return float(np.sqrt(max(xx * yy - xy * xy, 0.0)))
-
-    order = sorted(range(len(pairs)), key=lambda i: (-area_key(pairs[i]), i))
+    order = sorted(range(len(pairs)), key=lambda i: (-_area_key(pairs[i].ellipse_left), i))
     spheres = [
         frozenset(
             np.where(np.sum((cloud.positions - pairs[i].seed) ** 2, axis=1) <= radius * radius)[0]

@@ -10,7 +10,7 @@ of those values over a scene is what the Weibull noise model is fitted to.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,20 +54,14 @@ def _camera_center(camera: np.ndarray) -> np.ndarray:
     return c[:3] / c[3]
 
 
-def project(camera: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Pinhole projection of one 3D point to pixel coordinates."""
-    h = camera @ np.append(np.asarray(point, float), 1.0)
-    if abs(h[2]) < _W_EPS:
-        raise ValueError("at infinity in image")
-    return h[:2] / h[2]
-
-
 def project_many(camera: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch projection.  Returns (pixels (n,2), valid mask).
+    """Pinhole projection of 3D points to pixel coordinates.
 
-    Each point is multiplied as its own (1,3) row, so its pixels are bitwise
-    the same whichever other points share the call (one matrix product over
-    all rows rounds differently for a general camera).
+    Returns (pixels (n,2), valid mask); a point in the camera's focal plane
+    is at infinity in the image and is marked invalid.  Each point is
+    multiplied as its own (1,3) row, so its pixels are bitwise the same
+    whichever other points share the call (one matrix product over all rows
+    rounds differently for a general camera).
     """
     pts = np.atleast_2d(np.asarray(points, float))
     h = (pts[:, None, :] @ camera[:, :3].T)[:, 0, :] + camera[:, 3]
@@ -126,18 +120,6 @@ def triangulate_many(
 
 
 @dataclass
-class ScenePoint:
-    """One reconstructed point with its originating pixel pair."""
-
-    index: int
-    position: np.ndarray
-    pixel_left: np.ndarray
-    pixel_right: np.ndarray
-    uncertainty: float | None = None
-    penalty: float | None = None
-
-
-@dataclass
 class PointCloud:
     """Column-oriented scene point storage (one row per point)."""
 
@@ -158,16 +140,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def point(self, index: int) -> ScenePoint:
-        return ScenePoint(
-            index,
-            self.positions[index],
-            self.pixels_left[index],
-            self.pixels_right[index],
-            None if self.uncertainty is None else float(self.uncertainty[index]),
-            None if self.penalty is None else float(self.penalty[index]),
-        )
-
     def bbox_diagonal(self) -> float:
         if len(self) == 0:
             return 0.0
@@ -186,37 +158,20 @@ def _noise_draws(seed: int, index: int, trials: int) -> np.ndarray:
     return rng.normal(size=(trials, 4))
 
 
-def reconstruction_uncertainty(
-    sp: ScenePoint, rig: StereoRig, trials: int = 20, seed: int = 0
-) -> float:
-    """Monte-Carlo mean squared 3D displacement under pixel-noise draws.
-
-    Points whose own pixels fall outside either image get +inf (they cannot
-    carry a correspondence).  Raises ValueError("unstable point") when more
-    than half the perturbed draws triangulate degenerately.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not (_in_fov(sp.pixel_left, rig.image_size)[0] and _in_fov(sp.pixel_right, rig.image_size)[0]):
-        return float("inf")
-    noise = _noise_draws(seed, sp.index, trials)
-    pl = sp.pixel_left + noise[:, 0:2] * rig.pixel_noise_left
-    pr = sp.pixel_right + noise[:, 2:4] * rig.pixel_noise_right
-    pts, ok = triangulate_many(pl, pr, rig)
-    if np.count_nonzero(~ok) * 2 > trials:
-        raise ValueError("unstable point")
-    diff = pts[ok] - sp.position
-    return float(np.mean(np.sum(diff * diff, axis=1)))
-
-
 def attach_uncertainty(
     cloud: PointCloud, rig: StereoRig, trials: int = 20, seed: int = 0
 ) -> np.ndarray:
-    """Batch reconstruction uncertainty for a whole cloud.
+    """Reconstruction uncertainty of every cloud point, stored on the cloud.
 
-    Unstable points are marked +inf (with a logged warning) instead of
-    raising, so one bad correspondence cannot abort a pipeline run.
+    A point's uncertainty is the Monte-Carlo mean squared 3D displacement of
+    its re-triangulations under ``trials`` pixel-noise draws, seeded by
+    (``seed``, point index).  Points whose own pixels fall outside either
+    image get +inf (they cannot carry a correspondence), and so do unstable
+    points, where more than half the draws triangulate degenerately (with a
+    logged warning), so one bad correspondence cannot abort a pipeline run.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     n = len(cloud)
     out = np.full(n, np.inf)
     if n == 0:

@@ -405,7 +405,7 @@ def ssd_error(gt: GroundTruth, patches: list[Patch]) -> SsdReport:
     face_centroids = np.stack([f.centroid() for f in gt.faces])
     order = []
     for pi, patch in enumerate(sorted(patches, key=lambda p: p.id)):
-        pc = geometry.hull_centroid(patch.hull)
+        pc = geometry.polygon_centroid_3d(patch.hull.vertices)
         for fi in range(len(gt.faces)):
             d = float(np.sum((pc - face_centroids[fi]) ** 2))
             order.append((d, pi, fi))

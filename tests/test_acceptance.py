@@ -25,8 +25,8 @@ from stereopatch.geometry import (
     PlaneForm,
     build_hull,
     fit_plane,
-    point_hull_sq_dist,
-    update_fit,
+    point_hull_sq_dist_many,
+    update_fit_many,
 )
 from stereopatch.growing import Patch, PointState, accept
 from stereopatch.seeding import SeedConfig, SegmentPair, seed_patch
@@ -145,7 +145,7 @@ def test_oracle_equivalences():
         expect = oracles.dense_point_polygon_sq_dist(p, hull.vertices, grid=300)
         if expect < 0.2:
             continue
-        got = point_hull_sq_dist(hull, p)
+        got = point_hull_sq_dist_many(hull, p[None])[0]
         assert got == pytest.approx(expect, rel=1e-3)
         assert got <= expect + 1e-12
         cases += 1
@@ -163,7 +163,7 @@ def test_oracle_equivalences():
         pts = np.column_stack([ab, z])
         running = fit_plane(pts[:3], PlaneForm.Z)
         for p in pts[3:]:
-            running = update_fit(running, p)
+            running = update_fit_many(running, p[None])
         batch = fit_plane(pts, PlaneForm.Z)
         assert np.allclose(running.coeffs, batch.coeffs, rtol=1e-9, atol=1e-12)
         assert np.allclose(running.implicit, batch.implicit, rtol=1e-9, atol=1e-12)

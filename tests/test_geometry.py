@@ -11,9 +11,8 @@ from stereopatch.geometry import (
     hull_area,
     hull_hull_min_sq_dist,
     hull_is_convex,
-    point_hull_sq_dist,
-    point_plane_sq_dist,
-    update_fit,
+    point_hull_sq_dist_many,
+    update_fit_many,
     update_hull,
 )
 from stereopatch import synth
@@ -161,7 +160,7 @@ def test_update_with_on_plane_point_is_identity():
     y = rng.uniform(-1, 1, 12)
     pts = np.column_stack([x, y, 0.5 * x - 1.5 * y + 2.0])
     plane = fit_plane(pts, PlaneForm.Z)
-    updated = update_fit(plane, np.array([0.3, 0.4, 0.5 * 0.3 - 1.5 * 0.4 + 2.0]))
+    updated = update_fit_many(plane, np.array([[0.3, 0.4, 0.5 * 0.3 - 1.5 * 0.4 + 2.0]]))
     assert np.allclose(updated.coeffs, plane.coeffs, atol=1e-12)
     assert abs(np.linalg.norm(updated.implicit[:3]) - 1.0) < 1e-12
 
@@ -171,7 +170,7 @@ def test_incremental_equals_batch_fit():
     pts = rng.uniform(-2, 2, (50, 3))
     plane = fit_plane(pts[:4], PlaneForm.Z)
     for p in pts[4:]:
-        plane = update_fit(plane, p)
+        plane = update_fit_many(plane, p[None])
     batch = fit_plane(pts, PlaneForm.Z)
     assert np.allclose(plane.coeffs, batch.coeffs, rtol=1e-9, atol=1e-12)
     assert plane.n_points == 50
@@ -185,7 +184,7 @@ def test_insertion_order_does_not_matter():
         order = np.random.default_rng(order_seed).permutation(30)
         plane = fit_plane(pts[order[:5]], PlaneForm.Z)
         for idx in order[5:]:
-            plane = update_fit(plane, pts[idx])
+            plane = update_fit_many(plane, pts[[idx]])
         results.append(np.asarray(plane.coeffs))
     assert np.allclose(results[0], results[1], rtol=1e-9, atol=1e-12)
 
@@ -219,13 +218,13 @@ def test_fit_is_a_local_minimum_of_the_axis_error():
 def test_on_plane_distance_is_zero():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
     plane = fit_plane(pts, PlaneForm.Z)
-    assert point_plane_sq_dist(plane, np.array([0.25, 0.75, 0.0])) == pytest.approx(0.0, abs=1e-24)
+    assert plane.sq_dist_many(np.array([[0.25, 0.75, 0.0]]))[0] == pytest.approx(0.0, abs=1e-24)
 
 
 def test_height_above_ground_plane():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
     plane = fit_plane(pts, PlaneForm.Z)
-    assert point_plane_sq_dist(plane, np.array([0.0, 0.0, 2.0])) == pytest.approx(4.0, abs=1e-12)
+    assert plane.sq_dist_many(np.array([[0.0, 0.0, 2.0]]))[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_plane_distance_matches_projection_route():
@@ -238,7 +237,7 @@ def test_plane_distance_matches_projection_route():
         signed = float(n @ p + plane.implicit[3])
         proj = p - signed * n
         expect = float(np.sum((p - proj) ** 2))
-        assert point_plane_sq_dist(plane, p) == pytest.approx(expect, rel=1e-10, abs=1e-18)
+        assert plane.sq_dist_many(p[None])[0] == pytest.approx(expect, rel=1e-10, abs=1e-18)
 
 
 # -- point-hull distance ------------------------------------------------------
@@ -252,14 +251,14 @@ def unit_square_hull():
 
 def test_hull_vertex_distance_is_zero():
     hull, _ = unit_square_hull()
-    assert point_hull_sq_dist(hull, hull.vertices[0]) == pytest.approx(0.0, abs=1e-20)
+    assert point_hull_sq_dist_many(hull, hull.vertices[:1])[0] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_point_above_square_center():
     hull, plane = unit_square_hull()
     p = np.array([0.5, 0.5, 1.0])
-    assert point_hull_sq_dist(hull, p) == pytest.approx(1.0, abs=1e-12)
-    assert point_hull_sq_dist(hull, p) == point_plane_sq_dist(plane, p)
+    assert point_hull_sq_dist_many(hull, p[None])[0] == pytest.approx(1.0, abs=1e-12)
+    assert point_hull_sq_dist_many(hull, p[None])[0] == plane.sq_dist_many(p[None])[0]
 
 
 def test_inside_projection_equals_plane_distance_exactly():
@@ -272,7 +271,7 @@ def test_inside_projection_equals_plane_distance_exactly():
         local = (p - hull.origin) @ np.column_stack([hull.axis_u, hull.axis_v])
         if not oracles_point_in_polygon(hull.verts2d, local):
             continue
-        assert point_hull_sq_dist(hull, p) == point_plane_sq_dist(plane, p)
+        assert point_hull_sq_dist_many(hull, p[None])[0] == plane.sq_dist_many(p[None])[0]
         checked += 1
     assert checked >= 40
 
@@ -300,7 +299,7 @@ def test_outside_hull_matches_dense_sampling():
             + edge_dir * rng.uniform(0.5, 2.0)
             + plane.implicit[:3] * rng.uniform(-1.5, 1.5)
         )
-        got = point_hull_sq_dist(hull, p)
+        got = point_hull_sq_dist_many(hull, p[None])[0]
         expect = oracles.dense_point_polygon_sq_dist(p, hull.vertices, grid=700)
         if expect < 1e-6:
             continue

@@ -10,18 +10,16 @@ from scipy.special import gammaln
 
 from stereopatch import growing, pipeline, synth
 from stereopatch.distributions import GammaParams, WeibullParams
-from stereopatch.geometry import PlaneForm, build_hull, fit_plane, point_plane_sq_dist
+from stereopatch.geometry import PlaneForm, build_hull, fit_plane
 from stereopatch.growing import (
     GrowConfig,
     Patch,
     PatchStack,
     PointState,
     accept,
-    classify,
     classify_batch,
     grow,
-    joint_distance,
-    log_posterior,
+    joint_distance_many,
     posterior_scores,
 )
 from stereopatch.seeding import SeedConfig, SegmentPair, seed_all, seed_patch, segment_to_pairs
@@ -30,7 +28,6 @@ from stereopatch.stereo import (
     PointCloud,
     StereoRig,
     noise_model_offset,
-    project,
     project_many,
     triangulate,
     triangulate_many,
@@ -53,8 +50,8 @@ def square_patch(weight=1.0, zeta=1.0, theta=GammaParams(2.0, 1.0)):
     rig = synth.default_rig(0.001)
     centroid = np.array([0.5, 0.5, 0.0])
     pair = SegmentPair(
-        circle_ellipse(project(rig.camera_left, centroid + [0, 0, 4])),
-        circle_ellipse(project(rig.camera_right, centroid + [0, 0, 4]), view="right"),
+        circle_ellipse(project_many(rig.camera_left, centroid + [0, 0, 4])[0][0]),
+        circle_ellipse(project_many(rig.camera_right, centroid + [0, 0, 4])[0][0], view="right"),
         centroid,
     )
     return (
@@ -84,10 +81,10 @@ def build_micro(n=1000, seed=0, half=0.5, depth=4.0, noise=0.001):
     pipeline.prepare(cloud, rig, seed=seed)
 
     center = np.array([0.0, 0.0, depth])
-    pxl = project(rig.camera_left, center)
-    pxr = project(rig.camera_right, center)
+    pxl = project_many(rig.camera_left, center)[0][0]
+    pxr = project_many(rig.camera_right, center)[0][0]
     # second moment of a uniform square whose corner projects at `edge`
-    edge = project(rig.camera_left, np.array([half, half, depth]))
+    edge = project_many(rig.camera_left, np.array([half, half, depth]))[0][0]
     size = float((edge[0] - pxl[0]) ** 2) / 3.0
     pair = SegmentPair(
         circle_ellipse(pxl, size=size),
@@ -110,12 +107,12 @@ def build_micro(n=1000, seed=0, half=0.5, depth=4.0, noise=0.001):
 
 def test_on_plane_inside_hull_is_clamped():
     patch, _ = square_patch()
-    assert joint_distance(patch, np.array([0.5, 0.5, 0.0])) == 1e-12
+    assert joint_distance_many(patch, np.array([[0.5, 0.5, 0.0]]))[0] == 1e-12
 
 
 def test_inside_hull_distance_doubles_at_unit_weight():
     patch, _ = square_patch(weight=1.0)
-    assert joint_distance(patch, np.array([0.5, 0.5, 2.0])) == pytest.approx(8.0, rel=1e-12)
+    assert joint_distance_many(patch, np.array([[0.5, 0.5, 2.0]]))[0] == pytest.approx(8.0, rel=1e-12)
 
 
 def test_outside_hull_composes_plane_and_boundary_terms():
@@ -126,7 +123,7 @@ def test_outside_hull_composes_plane_and_boundary_terms():
         p = np.array([rng.uniform(1.6, 3.0), rng.uniform(-1.5, -0.4), rng.uniform(-2, 2)])
         plane_term = float(p[2] ** 2)
         hull_term = oracles.dense_point_polygon_sq_dist(p, patch.hull.vertices, grid=600)
-        assert joint_distance(patch, p) == pytest.approx(
+        assert joint_distance_many(patch, p[None])[0] == pytest.approx(
             plane_term + w * hull_term, rel=1e-4
         )
 
@@ -166,8 +163,8 @@ def test_score_at_a_hull_vertex_under_centred_ellipses():
     hull = build_hull(plane, corners)
     vertex = corners[0]
     pair = SegmentPair(
-        circle_ellipse(project(rig.camera_left, vertex)),
-        circle_ellipse(project(rig.camera_right, vertex), view="right"),
+        circle_ellipse(project_many(rig.camera_left, vertex)[0][0]),
+        circle_ellipse(project_many(rig.camera_right, vertex)[0][0], view="right"),
         vertex,
     )
     theta = GammaParams(2.5, 0.3)
@@ -178,7 +175,7 @@ def test_score_at_a_hull_vertex_under_centred_ellipses():
         - d / theta.scale
         + expected_log_const(theta, pair)
     )
-    assert log_posterior(patch, vertex, rig) == pytest.approx(expect, rel=1e-12)
+    assert posterior_scores([patch], vertex[None], rig)[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_zero_intensity_weight_leaves_pure_geometry():
@@ -186,7 +183,7 @@ def test_zero_intensity_weight_leaves_pure_geometry():
     patch, rig = square_patch(zeta=0.0, theta=GammaParams(1.8, 0.9))
     for trial in range(20):
         p = rng.uniform([-0.5, -0.5, -1.0], [1.5, 1.5, 1.0])
-        d = joint_distance(patch, p)
+        d = joint_distance_many(patch, p[None])[0]
         expect = float(oracles.ref_gamma_logpdf(d, patch.theta.shape, patch.theta.scale))
         el, er = patch.pair.ellipse_left, patch.pair.ellipse_right
         expect -= 0.5 * math.log(
@@ -197,7 +194,7 @@ def test_zero_intensity_weight_leaves_pure_geometry():
             * er.inertia[0]
             * er.inertia[2]
         )
-        assert log_posterior(patch, p, rig) == pytest.approx(expect, rel=1e-12)
+        assert posterior_scores([patch], p[None], rig)[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_full_score_composes_from_module_pieces():
@@ -212,9 +209,9 @@ def test_full_score_composes_from_module_pieces():
 
     for trial in range(20):
         p = rng.uniform([-0.5, -0.5, 3.0], [1.5, 1.5, 5.0])
-        d = joint_distance(patch, p)
-        z_l = quad_form(el, project(rig.camera_left, p))
-        z_r = quad_form(er, project(rig.camera_right, p))
+        d = joint_distance_many(patch, p[None])[0]
+        z_l = quad_form(el, project_many(rig.camera_left, p)[0][0])
+        z_r = quad_form(er, project_many(rig.camera_right, p)[0][0])
         om_l = 1.0 - el.correlation**2
         om_r = 1.0 - er.correlation**2
         expect = (
@@ -223,7 +220,8 @@ def test_full_score_composes_from_module_pieces():
             - 0.5
             * math.log(om_l * om_r * el.inertia[0] * el.inertia[2] * er.inertia[0] * er.inertia[2])
         )
-        assert log_posterior(patch, p, rig) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        got = posterior_scores([patch], p[None], rig)[0, 0]
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 def test_threshold_offset_is_the_weibull_constant():
@@ -282,7 +280,7 @@ def test_batch_classification_matches_single_calls(micro, seeded):
         idx = np.concatenate([idx, barred[:5]])
         batch = classify_batch(patches, scene.cloud, idx, scene.cfg, scene.rig, state)
         singles = [
-            classify(patches, scene.cloud, int(i), scene.cfg, scene.rig, state) for i in idx
+            classify_batch(patches, scene.cloud, [i], scene.cfg, scene.rig, state)[0] for i in idx
         ]
         assert batch == singles
         assert any(b is not None for b in batch)
@@ -308,17 +306,17 @@ def test_far_point_is_unclassifiable(micro):
     far_patch = Patch(
         0, plane, hull, [0, 1, 2, 3], GammaParams(2.0, 1e-6), micro.patch.pair, 1e-7, 1.0
     )
-    out = classify([far_patch], micro.cloud, 0, micro.cfg, micro.rig)
+    out = classify_batch([far_patch], micro.cloud, [0], micro.cfg, micro.rig)[0]
     assert out is None
 
 
 def test_equal_patches_tie_to_the_lower_id(micro):
     member = int(micro.patch.members[0])
     twin = replace(micro.patch, id=7)
-    assert classify([micro.patch, twin], micro.cloud, member, micro.cfg, micro.rig) == 0
+    assert classify_batch([micro.patch, twin], micro.cloud, [member], micro.cfg, micro.rig)[0] == 0
     assert (
-        classify([replace(micro.patch, id=1), replace(micro.patch, id=3)],
-                 micro.cloud, member, micro.cfg, micro.rig)
+        classify_batch([replace(micro.patch, id=1), replace(micro.patch, id=3)],
+                       micro.cloud, [member], micro.cfg, micro.rig)[0]
         == 1
     )
 
@@ -338,7 +336,7 @@ def test_classifier_agrees_with_scene_labels(path_run):
     agree = 0
     skipped = 0
     for idx in sample:
-        got = classify(patches, run.cloud, int(idx), cfg, run.rig)
+        got = classify_batch(patches, run.cloud, [idx], cfg, run.rig)[0]
         if got is None:
             skipped += 1
             continue
@@ -356,10 +354,10 @@ def test_shifting_every_score_keeps_the_winner(path_run):
     sample = rng.choice(len(path_run.cloud), size=120, replace=False)
     compared = 0
     for idx in sample:
-        base = classify(patches, path_run.cloud, int(idx), cfg, path_run.rig)
+        base = classify_batch(patches, path_run.cloud, [idx], cfg, path_run.rig)[0]
         if base is None:
             continue
-        up = classify(shifted, path_run.cloud, int(idx), cfg, path_run.rig)
+        up = classify_batch(shifted, path_run.cloud, [idx], cfg, path_run.rig)[0]
         assert up == base
         compared += 1
     assert compared >= 80
@@ -392,8 +390,12 @@ def polygon_patch(pid, n_sides, center, radius, tilt, rig, weight, zeta, theta, 
     assert len(hull.vertices) == n_sides
     mid = corners.mean(axis=0)
     pair = SegmentPair(
-        EllipsePrior(project(rig.camera_left, mid), np.asarray(inertia, float), 0.5, "left"),
-        EllipsePrior(project(rig.camera_right, mid), np.asarray(inertia, float)[::-1], 0.5, "right"),
+        EllipsePrior(
+            project_many(rig.camera_left, mid)[0][0], np.asarray(inertia, float), 0.5, "left"
+        ),
+        EllipsePrior(
+            project_many(rig.camera_right, mid)[0][0], np.asarray(inertia, float)[::-1], 0.5, "right"
+        ),
         mid,
     )
     return Patch(pid, plane, hull, [], theta, pair, weight, zeta)
@@ -424,16 +426,17 @@ def polygon_scene():
 
 def reference_score(patch, p, rig):
     """Log posterior composed from module pieces and the oracles, point by point."""
-    try:
-        z_pixels = (project(rig.camera_left, p), project(rig.camera_right, p))
-    except ValueError:
+    (pl,), (ok_l,) = project_many(rig.camera_left, p)
+    (pr,), (ok_r,) = project_many(rig.camera_right, p)
+    if not (ok_l and ok_r):
         return -math.inf
+    z_pixels = (pl, pr)
     verts = patch.hull.vertices
     lateral = min(
         float(oracles.point_triangle_sq_dist(p[None, :], verts[0], verts[k], verts[k + 1])[0])
         for k in range(1, len(verts) - 1)
     )
-    d = max(point_plane_sq_dist(patch.plane, p) + patch.boundary_weight * lateral, 1e-12)
+    d = max(patch.plane.sq_dist_many(p[None])[0] + patch.boundary_weight * lateral, 1e-12)
     prior = 0.0
     moments = 1.0
     for e, px in zip((patch.pair.ellipse_left, patch.pair.ellipse_right), z_pixels):

@@ -87,6 +87,17 @@ def synth_dir(tmp_path, name, *extra):
     return out
 
 
+@pytest.fixture(scope="module")
+def small_scene(tmp_path_factory):
+    """A two-plane scene directory too sparse to extract, for input-error tests."""
+    out = tmp_path_factory.mktemp("small") / "scene"
+    code = cli.main(
+        ["synth", "--preset", "two-plane", "--points-per-face", "50", "--out-dir", str(out)]
+    )
+    assert code == 0
+    return out
+
+
 # -- PLY clouds -----------------------------------------------------------------
 
 
@@ -159,6 +170,25 @@ def test_malformed_ply_files_are_rejected(tmp_path):
     short_row.write_text("\n".join(lines) + "\n")
     with pytest.raises(io.InputError, match="expected 8 fields"):
         io.load_cloud(short_row)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_binary_cloud_with_a_non_finite_position_is_rejected(tmp_path, capsys, small_scene, bad):
+    capsys.readouterr()
+    cloud, labels, scene_id = io.load_cloud(small_scene / "cloud.ply")
+    cloud.positions[3, 1] = bad
+    broken = tmp_path / "broken.ply"
+    io.save_cloud(broken, cloud, labels, scene_id=scene_id, binary=True)
+    with pytest.raises(io.InputError, match="non-finite vertex values"):
+        io.load_cloud(broken)
+    code, _, err = run_cli(
+        capsys, "extract", "--cloud", broken,
+        "--cameras", small_scene / "cameras.json",
+        "--segments", small_scene / "segments.json",
+        "--out-dir", tmp_path / "out",
+    )
+    assert code == 2
+    assert "non-finite vertex values" in err
 
 
 # -- JSON documents ---------------------------------------------------------------
@@ -298,6 +328,43 @@ def test_load_config_applies_blocks(tmp_path):
     path.write_text('{"format_version": 99, "kind": "config"}')
     with pytest.raises(io.InputError, match="format_version"):
         io.load_config(path)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        '"seed": {"radius": "0.1"}',
+        '"seed": {"radius_frac": -0.05}',
+        '"seed": {"min_cluster": 8.5}',
+        '"grow": {"batch_size": 2.5}',
+        '"grow": {"boundary_weight": NaN}',
+        '"grow": {"max_epochs": true}',
+        '"refine": {"min_members": "10"}',
+        '"refine": {"intensity_tol": Infinity}',
+        '"presets": {"two-plane": {"grow": {"batch_size": 2.5}}}',
+    ],
+)
+def test_cli_rejects_mistyped_config_values(tmp_path, small_scene, block):
+    import subprocess
+    import sys
+
+    config = tmp_path / "config.json"
+    config.write_text('{"format_version": 1, "kind": "config", %s}' % block)
+    with pytest.raises(io.InputError):
+        io.load_config(config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stereopatch.cli", "extract",
+         "--cloud", str(small_scene / "cloud.ply"),
+         "--cameras", str(small_scene / "cameras.json"),
+         "--segments", str(small_scene / "segments.json"),
+         "--config", str(config), "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "config.json" in proc.stderr
 
 
 # -- command line -----------------------------------------------------------------

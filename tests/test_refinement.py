@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stereopatch.distributions import GammaParams
-from stereopatch.geometry import build_hull, choose_plane_form, fit_plane, hull_is_convex
+from stereopatch.geometry import build_hull, choose_plane_form, fit_plane, hull_area, hull_is_convex
 from stereopatch.growing import Patch, PointState
-from stereopatch.refinement import RefineConfig, hull_area, refine
+from stereopatch.refinement import RefineConfig, refine
 from stereopatch.seeding import SegmentPair
 from stereopatch.stereo import EllipsePrior, PointCloud
 

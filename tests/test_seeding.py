@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stereopatch import synth
-from stereopatch.geometry import point_plane_sq_dist
 from stereopatch.growing import PointState
 from stereopatch.seeding import (
     SeedConfig,
@@ -16,7 +15,7 @@ from stereopatch.seeding import (
     seed_patch,
     segment_to_pairs,
 )
-from stereopatch.stereo import EllipsePrior, PointCloud, project
+from stereopatch.stereo import EllipsePrior, PointCloud, project_many
 
 import oracles
 
@@ -31,8 +30,8 @@ def circle_ellipse(centroid, intensity=0.5, view="left"):
 def test_seed_triangulates_from_the_centroids(two_plane_scene):
     rig = two_plane_scene.rig
     target = np.array([0.1, -0.2, 4.0])
-    left = circle_ellipse(project(rig.camera_left, target))
-    right = circle_ellipse(project(rig.camera_right, target), view="right")
+    left = circle_ellipse(project_many(rig.camera_left, target)[0][0])
+    right = circle_ellipse(project_many(rig.camera_right, target)[0][0], view="right")
     pairs = segment_to_pairs([left], [right], [(0, 0)], rig)
     assert len(pairs) == 1
     assert np.max(np.abs(pairs[0].seed - target)) <= 1e-8
@@ -45,8 +44,8 @@ def test_empty_correspondence_gives_no_pairs(two_plane_scene):
 def test_degenerate_centroid_pair_is_dropped(two_plane_scene, caplog):
     rig = two_plane_scene.rig
     target = np.array([0.1, -0.2, 4.0])
-    good_l = circle_ellipse(project(rig.camera_left, target))
-    good_r = circle_ellipse(project(rig.camera_right, target), view="right")
+    good_l = circle_ellipse(project_many(rig.camera_left, target)[0][0])
+    good_r = circle_ellipse(project_many(rig.camera_right, target)[0][0], view="right")
     # Identical pixels in both views make the two rays parallel.
     bad = circle_ellipse(np.array([400.0, 300.0]))
     bad_r = circle_ellipse(np.array([400.0, 300.0]), view="right")
@@ -77,6 +76,13 @@ def test_scene_segments_pair_onto_their_faces(two_plane_scene):
 
 def point_plane_sq_dist_from_coeffs(coeffs, p):
     return float(coeffs[:3] @ p + coeffs[3]) ** 2
+
+
+@pytest.mark.parametrize("frac", [0.0, -0.05])
+def test_non_positive_radius_fraction_is_rejected(frac):
+    # a negative fraction would square into the same sphere as its absolute value
+    with pytest.raises(ValueError, match="radius fraction must be positive"):
+        SeedConfig(radius_frac=frac)
 
 
 def test_rank_pairing_matches_by_area_order():

@@ -21,9 +21,7 @@ from stereopatch.stereo import (
     calibrate_noise_model,
     ellipse_log_prior,
     noise_penalty,
-    project,
     project_many,
-    reconstruction_uncertainty,
     triangulate,
     triangulate_many,
 )
@@ -46,14 +44,14 @@ def plain_rig(baseline=0.5, focal=800.0, width=800, height=600, noise=0.001):
 
 def test_optical_axis_point_lands_at_principal_point():
     rig = plain_rig()
-    px = project(rig.camera_left, np.array([0.0, 0.0, 5.0]))
+    px = project_many(rig.camera_left, np.array([0.0, 0.0, 5.0]))[0][0]
     assert px == pytest.approx([400.0, 300.0], abs=1e-12)
 
 
 def test_point_at_camera_plane_is_rejected():
     rig = plain_rig()
-    with pytest.raises(ValueError, match="at infinity in image"):
-        project(rig.camera_left, np.array([0.1, 0.1, 0.0]))
+    _, valid = project_many(rig.camera_left, np.array([0.1, 0.1, 0.0]))
+    assert not valid[0]
 
 
 def test_projection_round_trip_in_pixels():
@@ -61,11 +59,11 @@ def test_projection_round_trip_in_pixels():
     rng = np.random.default_rng(40)
     for trial in range(50):
         p = np.array([rng.uniform(-1, 1), rng.uniform(-0.7, 0.7), rng.uniform(2, 12)])
-        xl = project(rig.camera_left, p)
-        xr = project(rig.camera_right, p)
+        xl = project_many(rig.camera_left, p)[0][0]
+        xr = project_many(rig.camera_right, p)[0][0]
         back = triangulate(xl, xr, rig)
-        assert np.max(np.abs(project(rig.camera_left, back) - xl)) <= 1e-8
-        assert np.max(np.abs(project(rig.camera_right, back) - xr)) <= 1e-8
+        assert np.max(np.abs(project_many(rig.camera_left, back)[0][0] - xl)) <= 1e-8
+        assert np.max(np.abs(project_many(rig.camera_right, back)[0][0] - xr)) <= 1e-8
 
 
 def test_many_point_round_trip_in_world_units():
@@ -99,8 +97,8 @@ def test_batch_projection_is_independent_of_the_batch():
 def test_noiseless_consistency():
     rig = plain_rig()
     p = np.array([1.0, 2.0, 10.0])
-    xl = project(rig.camera_left, p)
-    xr = project(rig.camera_right, p)
+    xl = project_many(rig.camera_left, p)[0][0]
+    xr = project_many(rig.camera_right, p)[0][0]
     assert np.max(np.abs(triangulate(xl, xr, rig) - p)) <= 1e-8
 
 
@@ -124,8 +122,8 @@ def test_mirror_symmetry_about_the_baseline_bisector():
     rng = np.random.default_rng(48)
     for trial in range(20):
         p = np.array([rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5), rng.uniform(2, 9)])
-        xl = project(rig.camera_left, p)
-        xr = project(rig.camera_right, p)
+        xl = project_many(rig.camera_left, p)[0][0]
+        xr = project_many(rig.camera_right, p)[0][0]
         forward = triangulate(xl, xr, rig)
         mirrored = triangulate(flip(xr), flip(xl), rig)
         assert mirrored[0] == pytest.approx(-forward[0], abs=1e-9)
@@ -137,8 +135,8 @@ def test_agrees_with_midpoint_method():
     rng = np.random.default_rng(42)
     for trial in range(100):
         p = np.array([rng.uniform(-1, 1), rng.uniform(-0.7, 0.7), rng.uniform(2, 12)])
-        xl = project(rig.camera_left, p)
-        xr = project(rig.camera_right, p)
+        xl = project_many(rig.camera_left, p)[0][0]
+        xr = project_many(rig.camera_right, p)[0][0]
         got = triangulate(xl, xr, rig)
         expect = oracles.midpoint_triangulate(xl, xr, rig.camera_left, rig.camera_right)
         assert np.max(np.abs(got - expect)) <= 1e-8
@@ -159,24 +157,24 @@ def test_parallel_rays_are_degenerate():
 def test_zero_noise_means_zero_uncertainty():
     rig = plain_rig(noise=0.0)
     p = np.array([0.2, 0.1, 5.0])
-    sp = scene_point(rig, p)
-    assert reconstruction_uncertainty(sp, rig, trials=8, seed=3) == 0.0
+    cloud = one_point_cloud(rig, p)
+    assert attach_uncertainty(cloud, rig, trials=8, seed=3)[0] == 0.0
 
 
-def scene_point(rig, p, index=0):
+def one_point_cloud(rig, p):
     # Positions always come from triangulation, matching how the pipeline
     # builds points; zero-noise redraws are then bitwise reproductions.
-    from stereopatch.stereo import ScenePoint
-
-    xl = project(rig.camera_left, p)
-    xr = project(rig.camera_right, p)
-    return ScenePoint(index, triangulate(xl, xr, rig), xl, xr, None, None)
+    xl = project_many(rig.camera_left, p)[0][0]
+    xr = project_many(rig.camera_right, p)[0][0]
+    return PointCloud(triangulate(xl, xr, rig), xl, xr)
 
 
 def test_far_points_are_less_certain():
     rig = plain_rig()
-    near = reconstruction_uncertainty(scene_point(rig, np.array([0.0, 0.0, 2.0])), rig, trials=50, seed=7)
-    far = reconstruction_uncertainty(scene_point(rig, np.array([0.0, 0.0, 10.0])), rig, trials=50, seed=7)
+    near_cloud = one_point_cloud(rig, np.array([0.0, 0.0, 2.0]))
+    far_cloud = one_point_cloud(rig, np.array([0.0, 0.0, 10.0]))
+    near = attach_uncertainty(near_cloud, rig, trials=50, seed=7)[0]
+    far = attach_uncertainty(far_cloud, rig, trials=50, seed=7)[0]
     assert far > near > 0.0
 
 
@@ -184,8 +182,8 @@ def test_doubling_noise_does_not_shrink_uncertainty():
     p = np.array([0.1, -0.2, 6.0])
     lo_rig = plain_rig(noise=0.001)
     hi_rig = plain_rig(noise=0.002)
-    lo = reconstruction_uncertainty(scene_point(lo_rig, p), lo_rig, trials=10_000, seed=11)
-    hi = reconstruction_uncertainty(scene_point(hi_rig, p), hi_rig, trials=10_000, seed=11)
+    lo = attach_uncertainty(one_point_cloud(lo_rig, p), lo_rig, trials=10_000, seed=11)[0]
+    hi = attach_uncertainty(one_point_cloud(hi_rig, p), hi_rig, trials=10_000, seed=11)[0]
     # Quadrupling is the exact scaling in the linear regime; demand at least
     # a comfortable statistical margin over equality.
     assert hi > lo * 1.5
@@ -195,19 +193,26 @@ def test_uncertainty_golden_value():
     # Depth of ten baselines on the canonical synthetic rig; pinned from a
     # reference run so regressions in the noise model surface loudly.
     rig = plain_rig(baseline=0.5, noise=0.001)
-    sp = scene_point(rig, np.array([0.0, 0.0, 5.0]))
-    value = reconstruction_uncertainty(sp, rig, trials=20, seed=0)
+    cloud = one_point_cloud(rig, np.array([0.0, 0.0, 5.0]))
+    value = attach_uncertainty(cloud, rig, trials=20, seed=0)[0]
     assert value == pytest.approx(6.614311140430172e-09, rel=1e-9)
 
 
 def test_uncertainty_is_seed_deterministic():
     rig = plain_rig()
-    sp = scene_point(rig, np.array([0.3, 0.0, 4.0]))
-    a = reconstruction_uncertainty(sp, rig, trials=25, seed=5)
-    b = reconstruction_uncertainty(sp, rig, trials=25, seed=5)
-    c = reconstruction_uncertainty(sp, rig, trials=25, seed=6)
+    cloud = one_point_cloud(rig, np.array([0.3, 0.0, 4.0]))
+    a = attach_uncertainty(cloud, rig, trials=25, seed=5)[0]
+    b = attach_uncertainty(cloud, rig, trials=25, seed=5)[0]
+    c = attach_uncertainty(cloud, rig, trials=25, seed=6)[0]
     assert a == b
     assert a != c
+
+
+def test_uncertainty_needs_a_positive_trial_count():
+    rig = plain_rig()
+    cloud = one_point_cloud(rig, np.array([0.3, 0.0, 4.0]))
+    with pytest.raises(ValueError, match="trials must be positive"):
+        attach_uncertainty(cloud, rig, trials=0)
 
 
 # -- noise-model calibration ----------------------------------------------------
