@@ -161,7 +161,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report = synth.ssd_error(gt, doc.patches)
         class_error = synth.classification_error(gt, doc.patches)
     except ValueError as exc:
-        raise io.InputError(str(exc)) from None
+        raise io.InputError(f"{args.patches}: {exc}") from None
     table = _metrics_table(gt.scene_id, len(doc.patches), report, class_error)
     if args.out:
         Path(args.out).write_text(table)

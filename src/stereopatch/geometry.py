@@ -223,10 +223,11 @@ class PlanarHull:
 
     ``vertices`` are counter-clockwise in the (axis_u, axis_v) frame and are
     reconstructed from their 2D coordinates, so they sit exactly on the plane.
-    ``normal``/``offset`` are copies of the plane's implicit form at build
-    time, which keeps the in-polygon distance branch bitwise identical to
-    Plane.sq_dist_many.  A hull is never modified in place, so the edge
-    arrays and the containment tolerance are computed once, on first use.
+    ``normal``/``offset`` copy the implicit form of the plane that
+    ``build_hull``, ``update_hull`` or ``hull_from_vertices`` was given, so
+    a point's signed distance to the hull plane is bitwise its distance to
+    that plane.  A hull is never modified in place, so the edge arrays and
+    the containment tolerance are computed once, on first use.
     """
 
     vertices: np.ndarray
@@ -444,14 +445,6 @@ def update_hull(
     return build_hull(plane, all_points)
 
 
-def _point_edges_sq_dist_2d(q: np.ndarray, hull: PlanarHull) -> np.ndarray:
-    """Min squared 2D distance from each query point to the polygon boundary."""
-    q = np.atleast_2d(q)[:, None, :]
-    return _boundary_sq_dist(
-        q, hull.verts2d[None], hull.edge_vectors[None], hull.edge_sq_lengths[None]
-    )[:, 0]
-
-
 def point_hull_sq_dist_many(hull: PlanarHull, points: np.ndarray) -> np.ndarray:
     """Squared distances from (n, 3) points to the solid hull polygon.
 
@@ -466,7 +459,9 @@ def point_hull_sq_dist_many(hull: PlanarHull, points: np.ndarray) -> np.ndarray:
     inside = hull.contains_2d(q)
     if not np.all(inside):
         idx = np.where(~inside)[0]
-        out[idx] += _point_edges_sq_dist_2d(q[idx], hull)
+        out[idx] += _boundary_sq_dist(
+            q[idx, None, :], hull.verts2d[None], hull.edge_vectors[None], hull.edge_sq_lengths[None]
+        )[:, 0]
     return out
 
 

@@ -8,14 +8,17 @@ the global acceptance level and the point's noise penalty.  Rejected points
 return to the far end of the queue and are retried after the patches have
 grown.
 
-All patches grow in parallel, so every queued point is scored against every
-live patch.  ``PatchStack`` does this in one vectorised pass: it holds each
-patch's plane, hull and Gamma parameters along a patch axis and evaluates an
-(n points x n patches) log-posterior matrix.  The image-prior term and the
-two-camera visibility depend only on the point and the patch's segment pair,
-which nothing changes during growth, so ``grow`` computes them once for the
-whole cloud, together with the mask of points each seed pruned; after an
-accept only that patch's row of the stack is re-read.
+The joint distance has one implementation, ``_joint_distance``: the
+classifier scores with it and ``Patch.refit`` (in accepts, seeding and
+merges) fits the Gamma parameters to it.  All patches grow in parallel, so
+every queued point is scored against every live patch.  ``PatchStack`` does
+this in one vectorised pass: it holds each patch's hull, weight and Gamma
+parameters along a patch axis and evaluates an (n points x n patches)
+log-posterior matrix.  The image-prior term and the two-camera visibility
+depend only on the point and the patch's segment pair, which nothing changes
+during growth, so ``grow`` computes them once for the whole cloud, together
+with the mask of points each seed pruned; after an accept only that patch's
+row of the stack is re-read.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ import logging
 import math
 import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import geometry
 from .distributions import GammaParams, gamma_mle
@@ -125,7 +129,7 @@ class PointState:
 
 @dataclass
 class Patch:
-    """A growing planar patch: plane + hull + members + distance statistics."""
+    """A growing planar patch: plane + hull (which carries the plane) + members + theta."""
 
     id: int
     plane: geometry.Plane
@@ -135,12 +139,8 @@ class Patch:
     pair: "object"  # seeding.SegmentPair; kept loose to avoid an import cycle
     boundary_weight: float = 1.0
     intensity_weight: float = 1.0
-    log_const: float = field(default=0.0)
     # merged patches carry a member-weighted intensity instead of their pair's
     intensity_override: float | None = None
-
-    def __post_init__(self) -> None:
-        self.refresh_log_const()
 
     @property
     def mean_intensity(self) -> float:
@@ -148,59 +148,62 @@ class Patch:
             return self.intensity_override
         return 0.5 * (self.pair.ellipse_left.mean_intensity + self.pair.ellipse_right.mean_intensity)
 
-    def refresh_log_const(self) -> None:
-        """Recompute the cached constant of the log posterior.
+    def refit(self, member_positions: np.ndarray) -> None:
+        """Set theta to ``gamma_mle`` of the members' joint distances.
 
-        Combines the Gamma normalization with the (patch-constant) ellipse
-        moment determinants: -a*log(b) - log(Gamma(a)) - 0.5*log(product of
-        the two views' decorrelated moment products).
+        A degenerate sample (fewer than two members, or all distances
+        numerically equal) keeps the current theta.
         """
-        from scipy.special import gammaln
+        try:
+            self.theta = gamma_mle(joint_distance_many(self, member_positions))
+        except ValueError:
+            logger.debug("patch %d: degenerate distance sample, keeping theta", self.id)
 
-        el = self.pair.ellipse_left
-        er = self.pair.ellipse_right
-        oml = 1.0 - el.correlation**2
-        omr = 1.0 - er.correlation**2
-        moment_prod = oml * omr * el.inertia[0] * el.inertia[2] * er.inertia[0] * er.inertia[2]
-        self.log_const = float(
-            -self.theta.shape * np.log(self.theta.scale)
-            - gammaln(self.theta.shape)
-            - 0.5 * np.log(moment_prod)
-        )
+
+def _joint_distance(
+    hulls: geometry.HullStack, weight: np.ndarray | float, points: np.ndarray
+) -> np.ndarray:
+    """(n, P) joint distances of (n, 3) points to P stacked patches, clamped away from zero.
+
+    The joint distance is the squared plane distance plus ``weight`` times
+    the squared distance to the solid hull.  Each hull carries its patch's
+    plane, so the plane term is the squared signed distance to the hull
+    plane.  Where a point projects inside a hull the hull term equals the
+    plane term and the distance is (1 + w) * plane term; the lateral
+    boundary term is evaluated only for the rows outside some hull.
+    """
+    s = hulls.signed_dist(points)
+    d_plane = s * s
+    q = hulls.to_2d(points)
+    inside = hulls.contains_2d(q)
+    d = (1.0 + weight) * d_plane
+    rows = np.flatnonzero(~np.all(inside, axis=1))
+    if len(rows):
+        dp = d_plane[rows]
+        outer = dp + weight * (dp + hulls.boundary_sq_dist_2d(q[rows]))
+        d[rows] = np.where(inside[rows], d[rows], outer)
+    return np.maximum(d, _DIST_CLAMP)
 
 
 def joint_distance_many(patch: Patch, positions: np.ndarray) -> np.ndarray:
-    """Plane distance plus weighted hull distance of (n, 3) points, clamped away from zero.
-
-    When a point's projection falls inside the hull the boundary term
-    equals the plane term, so the joint distance collapses to
-    (1 + w) * plane distance without evaluating the hull boundary.
-    """
+    """Plane plus weighted hull distance of (n, 3) points: ``_joint_distance`` to one patch."""
     pts = np.atleast_2d(np.asarray(positions, float))
-    d_plane = patch.plane.sq_dist_many(pts)
-    w = patch.boundary_weight
-    q = patch.hull.to_2d(pts)
-    inside = patch.hull.contains_2d(q)
-    out = (1.0 + w) * d_plane
-    if not np.all(inside):
-        idx = np.where(~inside)[0]
-        s = pts[idx] @ patch.hull.normal + patch.hull.offset
-        lateral = geometry._point_edges_sq_dist_2d(q[idx], patch.hull)
-        out[idx] = d_plane[idx] + w * (s * s + lateral)
-    return np.maximum(out, _DIST_CLAMP)
+    return _joint_distance(geometry.HullStack([patch.hull]), patch.boundary_weight, pts)[:, 0]
 
 
 def _image_prior(
     patches: list[Patch], positions: np.ndarray, rig: StereoRig
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Image-prior term zeta*(z_l/2(1-rho_l^2) + z_r/2(1-rho_r^2)) per point and patch.
 
-    Returns the (n_points, n_patches) term and the (n_points,) mask of points
-    that project into both cameras.
+    Returns the (n_points, n_patches) term, each patch's half log product of
+    the two views' decorrelated moments (1-rho^2)*xx*yy, and the (n_points,)
+    mask of points that project into both cameras.
     """
     pl, okl = project_many(rig.camera_left, positions)
     pr, okr = project_many(rig.camera_right, positions)
     prior = np.empty((len(positions), len(patches)))
+    half_log_moments = np.empty(len(patches))
     for j, patch in enumerate(patches):
         el = patch.pair.ellipse_left
         er = patch.pair.ellipse_right
@@ -209,7 +212,9 @@ def _image_prior(
         zl = el.mahalanobis(pl)
         zr = er.mahalanobis(pr)
         prior[:, j] = patch.intensity_weight * (zl / (2.0 * oml) + zr / (2.0 * omr))
-    return prior, okl & okr
+        moments = oml * omr * el.inertia[0] * el.inertia[2] * er.inertia[0] * er.inertia[2]
+        half_log_moments[j] = 0.5 * np.log(moments)
+    return prior, half_log_moments, okl & okr
 
 
 class PatchStack:
@@ -218,10 +223,11 @@ class PatchStack:
     It is built over a fixed point set (during growth, the whole cloud).  The
     image prior, the two-camera visibility and the points each patch has
     rejected (``state``) are evaluated once for all of those points, since
-    growth does not change them.  Plane, hull and Gamma parameters are
-    stacked along a patch axis; ``refresh`` re-reads one patch after it has
-    accepted points.  Each entry takes the same floating-point operations, in
-    the same order, as scoring that one point against that one patch alone.
+    growth does not change them.  Hulls, weights, Gamma parameters and the
+    log posterior's constant are stacked along a patch axis; ``refresh``
+    re-reads one patch after it has accepted points.  Each entry takes the
+    same floating-point operations, in the same order, as scoring that one
+    point against that one patch alone.
     """
 
     def __init__(
@@ -233,14 +239,13 @@ class PatchStack:
     ) -> None:
         self.patches = list(patches)
         self.positions = np.atleast_2d(np.asarray(positions, float))
-        self.prior, visible = _image_prior(self.patches, self.positions, rig)
+        self.prior, self.half_log_moments, visible = _image_prior(self.patches, self.positions, rig)
         self.blocked = ~visible[:, None]
         if state is not None:
             self.blocked = self.blocked | state.barred([p.id for p in self.patches])
         self._column = {p.id: j for j, p in enumerate(self.patches)}
         n = len(self.patches)
         self.hulls = geometry.HullStack([p.hull for p in self.patches])
-        self.plane = np.empty((n, 4))
         self.weight = np.empty(n)
         self.shape = np.empty(n)
         self.scale = np.empty(n)
@@ -254,43 +259,21 @@ class PatchStack:
 
     def _load(self, j: int) -> None:
         patch = self.patches[j]
-        self.plane[j] = patch.plane.implicit
+        a, b = patch.theta.shape, patch.theta.scale
         self.weight[j] = patch.boundary_weight
-        self.shape[j] = patch.theta.shape
-        self.scale[j] = patch.theta.scale
-        self.log_const[j] = patch.log_const
+        self.shape[j] = a
+        self.scale[j] = b
+        # the Gamma normalization -a*log(b) - log(Gamma(a)) and the ellipse moment term
+        self.log_const[j] = -a * np.log(b) - gammaln(a) - self.half_log_moments[j]
         self.hulls.set(j, patch.hull)
 
     def scores(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), n_patches) log posteriors of the given points.
-
-        The joint distance is as in ``joint_distance_many``; blocked entries
-        are -inf.
-        """
-        pts = self.positions[rows]
-        r = geometry._dot_rows(pts[:, None, :], self.plane[None, :, :3]) + self.plane[:, 3]
-        d_plane = r * r
-        q = self.hulls.to_2d(pts)
-        s = self.hulls.signed_dist(pts)
-        lateral = self.hulls.boundary_sq_dist_2d(q)
-        d = np.where(
-            self.hulls.contains_2d(q),
-            (1.0 + self.weight) * d_plane,
-            d_plane + self.weight * (s * s + lateral),
-        )
-        d = np.maximum(d, _DIST_CLAMP)
+        """(len(rows), n_patches) log posteriors of the given points; blocked entries are -inf."""
+        d = _joint_distance(self.hulls, self.weight, self.positions[rows])
         scores = (
             (self.shape - 1.0) * np.log(d) - self.prior[rows] - d / self.scale + self.log_const
         )
         return np.where(self.blocked[rows], -np.inf, scores)
-
-
-def posterior_scores(
-    patches: list[Patch], positions: np.ndarray, rig: StereoRig
-) -> np.ndarray:
-    """(n_points, n_patches) unnormalized log posteriors of 3D points belonging to each patch."""
-    pts = np.atleast_2d(np.asarray(positions, float))
-    return PatchStack(patches, pts, rig).scores(np.arange(len(pts)))
 
 
 def classify_batch(
@@ -335,8 +318,8 @@ def accept(patch: Patch, cloud: PointCloud, state: PointState, indices) -> None:
 
     The plane absorbs the new points through its running sums, the hull is
     re-projected (and rebuilt only if some new point lies outside it), and the
-    Gamma parameters are re-estimated from all member distances in one batch.
-    A degenerate re-estimate keeps the previous parameters.
+    Gamma parameters are refitted to all member distances in one batch
+    (``Patch.refit``).
     """
     idx = np.asarray(indices, dtype=int).ravel()
     if len(idx) == 0:
@@ -346,12 +329,7 @@ def accept(patch: Patch, cloud: PointCloud, state: PointState, indices) -> None:
     member_pts = cloud.positions[np.asarray(patch.members, dtype=int)]
     patch.hull = geometry.update_hull(patch.hull, patch.plane, cloud.positions[idx], member_pts)
     state.assign(idx, patch.id)
-    distances = joint_distance_many(patch, member_pts)
-    try:
-        patch.theta = gamma_mle(distances)
-    except ValueError:
-        logger.debug("patch %d: degenerate distance sample, keeping previous theta", patch.id)
-    patch.refresh_log_const()
+    patch.refit(member_pts)
 
 
 @dataclass

@@ -179,9 +179,18 @@ def _load_json(path, kind: str) -> dict:
 
 
 def _field(doc: dict, path, key: str):
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected an object holding {key!r}, found {doc!r}")
     if key not in doc:
         raise InputError(f"{path}: missing field {key!r}")
     return doc[key]
+
+
+def _items(doc: dict, path, key: str) -> list:
+    value = _field(doc, path, key)
+    if not isinstance(value, list):
+        raise InputError(f"{path}: {key} must be a list, not {value!r}")
+    return value
 
 
 def _ellipse_doc(e: EllipsePrior) -> dict:
@@ -200,7 +209,7 @@ def _ellipse_from(doc: dict, path, view: str) -> EllipsePrior:
             float(_field(doc, path, "mean_intensity")),
             view,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad ellipse: {exc}") from None
 
 
@@ -242,7 +251,7 @@ def load_cameras(path) -> tuple[StereoRig, str]:
             (int(size[0]), int(size[1])),
             model,
         )
-    except ValueError as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
     return rig, str(doc.get("scene_id", ""))
 
@@ -265,7 +274,7 @@ def save_segments(
 def load_segments(path) -> tuple[list[tuple[EllipsePrior, EllipsePrior]], str]:
     doc = _load_json(path, "segments")
     pairs = []
-    for entry in _field(doc, path, "pairs"):
+    for entry in _items(doc, path, "pairs"):
         pairs.append(
             (
                 _ellipse_from(_field(entry, path, "left"), path, "left"),
@@ -294,7 +303,7 @@ def load_ground_truth(path) -> GroundTruth:
     try:
         faces = [
             Face(np.asarray(_field(f, path, "vertices"), float), float(_field(f, path, "intensity")))
-            for f in _field(doc, path, "faces")
+            for f in _items(doc, path, "faces")
         ]
         return GroundTruth(
             faces,
@@ -303,7 +312,7 @@ def load_ground_truth(path) -> GroundTruth:
             np.asarray(_field(doc, path, "positions"), float),
             str(doc.get("scene_id", "")),
         )
-    except ValueError as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -366,10 +375,10 @@ def save_patches(path, doc: ExtractionDocument) -> None:
 def load_patches(path) -> ExtractionDocument:
     doc = _load_json(path, "patches")
     patches = []
-    for entry in _field(doc, path, "patches"):
+    for entry in _items(doc, path, "patches"):
         try:
             form = PlaneForm[_field(entry, path, "form")]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InputError(f"{path}: unknown plane form {entry.get('form')!r}") from None
         try:
             plane = Plane(
@@ -381,11 +390,15 @@ def load_patches(path) -> ExtractionDocument:
             )
             hull = hull_from_vertices(plane, np.asarray(_field(entry, path, "hull_vertices"), float))
             theta_doc = _field(entry, path, "theta")
+            members = [int(i) for i in _items(entry, path, "members")]
+            if any(i < 0 for i in members):
+                raise ValueError(f"negative member index {min(members)}")
+            override = _field(entry, path, "intensity_override")
             patch = Patch(
                 int(_field(entry, path, "id")),
                 plane,
                 hull,
-                [int(i) for i in _field(entry, path, "members")],
+                members,
                 GammaParams(float(theta_doc["shape"]), float(theta_doc["scale"])),
                 _RestoredPair(
                     _ellipse_from(_field(entry, path, "ellipse_left"), path, "left"),
@@ -393,20 +406,24 @@ def load_patches(path) -> ExtractionDocument:
                 ),
                 float(_field(entry, path, "boundary_weight")),
                 float(_field(entry, path, "intensity_weight")),
+                None if override is None else float(override),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"{path}: bad patch entry: {exc}") from None
-        override = _field(entry, path, "intensity_override")
-        patch.intensity_override = None if override is None else float(override)
         patches.append(patch)
-    return ExtractionDocument(
-        patches,
-        [int(i) for i in _field(doc, path, "unassigned")],
-        str(doc.get("scene_id", "")),
-        int(_field(doc, path, "epochs")),
-        bool(_field(doc, path, "truncated")),
-        int(_field(doc, path, "accepted")),
-    )
+    unassigned = _items(doc, path, "unassigned")
+    epochs, truncated, accepted = (_field(doc, path, k) for k in ("epochs", "truncated", "accepted"))
+    try:
+        return ExtractionDocument(
+            patches,
+            [int(i) for i in unassigned],
+            str(doc.get("scene_id", "")),
+            int(epochs),
+            bool(truncated),
+            int(accepted),
+        )
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

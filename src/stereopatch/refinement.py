@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .distributions import gamma_mle
 from .growing import Patch, PointState, _check_config
-from .stereo import _DIST_CLAMP, PointCloud
+from .stereo import PointCloud
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +53,10 @@ class RefineConfig:
 
 
 def _merge(a: Patch, b: Patch, cloud: PointCloud) -> Patch:
-    """Union refit of two patches; keeps the lower id and its segment pair."""
+    """Union refit of two patches; keeps the lower id and its segment pair.
+
+    A degenerate distance sample keeps the first patch's theta.
+    """
     members = sorted(set(a.members) | set(b.members))
     pts = cloud.positions[np.asarray(members, dtype=int)]
     form = geometry.choose_plane_form(pts)
@@ -70,16 +72,9 @@ def _merge(a: Patch, b: Patch, cloud: PointCloud) -> Patch:
         a.boundary_weight,
         a.intensity_weight,
     )
-    distances = np.maximum(
-        (1.0 + a.boundary_weight) * plane.sq_dist_many(pts), _DIST_CLAMP
-    )
-    try:
-        merged.theta = gamma_mle(distances)
-    except ValueError:
-        logger.debug("merged patch %d: degenerate distances, keeping previous theta", merged.id)
+    merged.refit(pts)
     na, nb = len(a.members), len(b.members)
     merged.intensity_override = (na * a.mean_intensity + nb * b.mean_intensity) / (na + nb)
-    merged.refresh_log_const()
     return merged
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import geometry
-from .distributions import GammaParams, gamma_mle, gamma_sum_approx
+from .distributions import GammaParams, gamma_sum_approx
 from .growing import Patch, PointState, _check_config
 from .stereo import _DIST_CLAMP, EllipsePrior, PointCloud, StereoRig, triangulate
 
@@ -172,7 +172,8 @@ def pair_segments_by_rank(
 def _fallback_theta(
     cloud: PointCloud, member_idx: np.ndarray, boundary_weight: float
 ) -> GammaParams:
-    """Theta for clusters whose distances all collapse (noiseless data).
+    """Starting theta of a seed patch, which ``Patch.refit`` keeps when the
+    member distances all collapse (noiseless data).
 
     Uses the members' mean reconstruction uncertainty as the distance scale:
     that is the squared displacement the pixel noise induces, i.e. what the
@@ -239,25 +240,17 @@ def seed_patch(
     except ValueError:
         return SeedRejection("degenerate seed", pair)
 
-    # members project inside their own hull, so the boundary term collapses
-    distances = np.maximum(
-        (1.0 + boundary_weight) * plane.sq_dist_many(cloud.positions[members]), _DIST_CLAMP
-    )
-    try:
-        theta = gamma_mle(distances)
-    except ValueError:
-        theta = _fallback_theta(cloud, members, boundary_weight)
-
     patch = Patch(
         patch_id,
         plane,
         hull,
         [int(i) for i in members],
-        theta,
+        _fallback_theta(cloud, members, boundary_weight),
         pair,
         boundary_weight,
         intensity_weight,
     )
+    patch.refit(cloud.positions[members])
     state.assign(members, patch_id)
     if len(outliers):
         state.reject(outliers, patch_id)

@@ -26,7 +26,7 @@ _DIST_CLAMP = 1e-12       # floor applied to squared distances entering logs
 
 @dataclass
 class StereoRig:
-    """Calibrated stereo pair: two 3x4 projection matrices plus noise levels."""
+    """Calibrated stereo pair: two finite 3x4 projection matrices plus noise levels."""
 
     camera_left: np.ndarray
     camera_right: np.ndarray
@@ -40,6 +40,12 @@ class StereoRig:
         self.camera_right = np.asarray(self.camera_right, float)
         if self.camera_left.shape != (3, 4) or self.camera_right.shape != (3, 4):
             raise ValueError("projection matrices must be 3x4")
+        if not (np.all(np.isfinite(self.camera_left)) and np.all(np.isfinite(self.camera_right))):
+            raise ValueError("projection matrices must be finite")
+        if not all(np.isfinite(x) and x >= 0 for x in (self.pixel_noise_left, self.pixel_noise_right)):
+            raise ValueError("pixel noise must be finite and non-negative")
+        if len(self.image_size) != 2 or min(self.image_size) <= 0:
+            raise ValueError(f"image size must be two positive numbers, not {self.image_size!r}")
 
     def camera_centers(self) -> np.ndarray:
         """(2,3) array with the two optical centers."""
@@ -264,6 +270,8 @@ class EllipsePrior:
     def __post_init__(self) -> None:
         object.__setattr__(self, "centroid", np.asarray(self.centroid, float).reshape(2))
         object.__setattr__(self, "inertia", np.asarray(self.inertia, float).reshape(3))
+        if not (np.all(np.isfinite(self.centroid)) and np.all(np.isfinite(self.inertia))):
+            raise ValueError("centroid and inertia must be finite")
         xx, xy, yy = self.inertia
         if xx <= 0 or yy <= 0 or xx * yy - xy * xy <= 0:
             raise ValueError("inertia must be positive definite")

@@ -440,7 +440,8 @@ def classification_error(gt: GroundTruth, patches: list[Patch]) -> float:
 
     Points carrying label -1 (on no face) count as their own class whose
     correct prediction is "unassigned"; that pairing is fixed, the rest is an
-    optimal assignment on the confusion matrix.
+    optimal assignment on the confusion matrix.  Raises ValueError when a
+    member index falls outside the ground-truth points.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -451,6 +452,10 @@ def classification_error(gt: GroundTruth, patches: list[Patch]) -> float:
     by_id = sorted(patches, key=lambda p: p.id)
     for col, patch in enumerate(by_id):
         members = np.asarray(patch.members, int)
+        if len(members) and (members.min() < 0 or members.max() >= n_points):
+            raise ValueError(
+                f"patch {patch.id} has members outside the {n_points} ground-truth points"
+            )
         predicted[members] = col
 
     n_faces = len(gt.faces)

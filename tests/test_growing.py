@@ -9,7 +9,7 @@ import pytest
 from scipy.special import gammaln
 
 from stereopatch import growing, pipeline, synth
-from stereopatch.distributions import GammaParams, WeibullParams
+from stereopatch.distributions import GammaParams, WeibullParams, gamma_mle
 from stereopatch.geometry import PlaneForm, build_hull, fit_plane
 from stereopatch.growing import (
     GrowConfig,
@@ -20,9 +20,16 @@ from stereopatch.growing import (
     classify_batch,
     grow,
     joint_distance_many,
-    posterior_scores,
 )
-from stereopatch.seeding import SeedConfig, SegmentPair, seed_all, seed_patch, segment_to_pairs
+from stereopatch.refinement import _merge
+from stereopatch.seeding import (
+    SeedConfig,
+    SegmentPair,
+    _fallback_theta,
+    seed_all,
+    seed_patch,
+    segment_to_pairs,
+)
 from stereopatch.stereo import (
     EllipsePrior,
     PointCloud,
@@ -149,9 +156,10 @@ def expected_log_const(theta, pair):
 
 
 def test_cached_constant_matches_its_definition():
-    patch, _ = square_patch(theta=GammaParams(3.2, 0.7))
+    patch, rig = square_patch(theta=GammaParams(3.2, 0.7))
+    stack = PatchStack([patch], patch.hull.vertices, rig)
     expect = expected_log_const(patch.theta, patch.pair)
-    assert patch.log_const == pytest.approx(expect, rel=1e-12)
+    assert stack.log_const[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_score_at_a_hull_vertex_under_centred_ellipses():
@@ -175,7 +183,9 @@ def test_score_at_a_hull_vertex_under_centred_ellipses():
         - d / theta.scale
         + expected_log_const(theta, pair)
     )
-    assert posterior_scores([patch], vertex[None], rig)[0, 0] == pytest.approx(expect, rel=1e-12)
+    assert PatchStack([patch], vertex[None], rig).scores([0])[0, 0] == pytest.approx(
+        expect, rel=1e-12
+    )
 
 
 def test_zero_intensity_weight_leaves_pure_geometry():
@@ -194,7 +204,8 @@ def test_zero_intensity_weight_leaves_pure_geometry():
             * er.inertia[0]
             * er.inertia[2]
         )
-        assert posterior_scores([patch], p[None], rig)[0, 0] == pytest.approx(expect, rel=1e-12)
+        got = PatchStack([patch], p[None], rig).scores([0])[0, 0]
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_full_score_composes_from_module_pieces():
@@ -220,7 +231,7 @@ def test_full_score_composes_from_module_pieces():
             - 0.5
             * math.log(om_l * om_r * el.inertia[0] * el.inertia[2] * er.inertia[0] * er.inertia[2])
         )
-        got = posterior_scores([patch], p[None], rig)[0, 0]
+        got = PatchStack([patch], p[None], rig).scores([0])[0, 0]
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
@@ -348,19 +359,21 @@ def test_classifier_agrees_with_scene_labels(path_run):
 
 def test_shifting_every_score_keeps_the_winner(path_run):
     patches = path_run.result.patches
-    cfg = path_run.cfg.grow_cfg
-    shifted = [replace(p, log_const=p.log_const + 7.5) for p in patches]
+    cloud, rig, cfg = path_run.cloud, path_run.rig, path_run.cfg.grow_cfg
     rng = np.random.default_rng(54)
-    sample = rng.choice(len(path_run.cloud), size=120, replace=False)
-    compared = 0
-    for idx in sample:
-        base = classify_batch(patches, path_run.cloud, [idx], cfg, path_run.rig)[0]
-        if base is None:
-            continue
-        up = classify_batch(shifted, path_run.cloud, [idx], cfg, path_run.rig)[0]
-        assert up == base
-        compared += 1
-    assert compared >= 80
+    sample = rng.choice(len(cloud), size=120, replace=False)
+    stack = PatchStack(patches, cloud.positions, rig)
+    shifted = PatchStack(patches, cloud.positions, rig)
+    shifted.log_const += 7.5
+    before, after = stack.scores(sample), shifted.scores(sample)
+    finite = np.isfinite(before)
+    assert np.array_equal(finite, np.isfinite(after))
+    assert np.allclose(after[finite] - before[finite], 7.5, rtol=0.0, atol=1e-9)
+    base = classify_batch(patches, cloud, sample, cfg, rig, stack=stack)
+    up = classify_batch(patches, cloud, sample, cfg, rig, stack=shifted)
+    compared = [(b, u) for b, u in zip(base, up) if b is not None]
+    assert all(b == u for b, u in compared)
+    assert len(compared) >= 80
 
 
 # -- the stacked scorer -------------------------------------------------------
@@ -455,7 +468,8 @@ def reference_score(patch, p, rig):
 
 def test_stacked_scores_match_per_patch_reference():
     scene = polygon_scene()
-    scores = posterior_scores(scene.patches, scene.positions, scene.rig)
+    rows = np.arange(len(scene.positions))
+    scores = PatchStack(scene.patches, scene.positions, scene.rig).scores(rows)
     assert scores.shape == (len(scene.positions), len(scene.patches))
     for i, p in enumerate(scene.positions):
         for j, patch in enumerate(scene.patches):
@@ -593,8 +607,6 @@ def test_hundred_accepts_equal_scratch_recompute():
     assert np.allclose(
         patch.plane.coeffs, scratch_plane.coeffs, rtol=1e-9, atol=1e-15
     )
-    from stereopatch.distributions import gamma_mle
-
     scratch_hull = build_hull(scratch_plane, member_pts)
     dists = np.maximum(
         (1.0 + patch.boundary_weight) * scratch_plane.sq_dist_many(member_pts), 1e-12
@@ -609,6 +621,67 @@ def test_hundred_accepts_equal_scratch_recompute():
         patch.hull.vertices[:, None, :] - scratch_hull.vertices[None, :, :], axis=2
     )
     assert np.max(gaps.min(axis=1)) <= 1e-6
+
+
+def fitted_theta(patch, cloud):
+    return gamma_mle(joint_distance_many(patch, cloud.positions[np.asarray(patch.members)]))
+
+
+def halves(patch):
+    """Two patches that split ``patch``'s members, as a merge would meet them."""
+    half = len(patch.members) // 2
+    return (
+        replace(patch, members=patch.members[:half]),
+        replace(patch, id=patch.id + 1, members=patch.members[half:]),
+    )
+
+
+def test_seed_accept_and_merge_fit_theta_to_the_joint_distances():
+    # Tilted planes: there a plane-only shortcut through ``points @ normal``
+    # rounds differently from the kernel's dot products on some patches.
+    scene = build_seeded()
+    cloud, state = scene.cloud, scene.state
+    merged = []
+    for patch in scene.patches:
+        assert patch.theta == fitted_theta(patch, cloud)
+        free = state.available_indices()
+        near = np.argsort(np.sum((cloud.positions[free] - patch.pair.seed) ** 2, axis=1))
+        accept(patch, cloud, state, free[near[:20]])
+        assert patch.theta == fitted_theta(patch, cloud)
+        merged.append(_merge(*halves(patch), cloud))
+        assert merged[-1].theta == fitted_theta(merged[-1], cloud)
+    patches = scene.patches + merged
+    for p in patches:
+        # the kernel reads the plane term from the hull
+        assert np.array_equal(p.hull.normal, p.plane.normal)
+        assert p.hull.offset == p.plane.implicit[3]
+    # the refit's distances are the classifier's, column for column
+    stack = PatchStack(patches, cloud.positions, scene.rig)
+    d = growing._joint_distance(stack.hulls, stack.weight, cloud.positions)
+    for j, p in enumerate(patches):
+        assert np.array_equal(d[:, j], joint_distance_many(p, cloud.positions))
+
+
+def test_a_degenerate_sample_keeps_the_fallback_or_the_previous_theta():
+    # Noiseless points on one plane: every joint distance is clamped to the
+    # same floor, so the Gamma fit has no spread to estimate.
+    scene = build_micro(n=900, seed=4, noise=0.0)
+    patch, cloud, state = scene.patch, scene.cloud, scene.state
+    with pytest.raises(ValueError, match="degenerate sample"):
+        fitted_theta(patch, cloud)
+    members = np.asarray(patch.members)
+    assert patch.theta == _fallback_theta(cloud, members, patch.boundary_weight)
+
+    previous = GammaParams(1.7, 3e-9)
+    patch.theta = previous
+    accept(patch, cloud, state, state.available_indices()[:40])
+    with pytest.raises(ValueError, match="degenerate sample"):
+        fitted_theta(patch, cloud)
+    assert patch.theta == previous
+    merged = _merge(*halves(patch), cloud)
+    with pytest.raises(ValueError, match="degenerate sample"):
+        fitted_theta(merged, cloud)
+    assert merged.theta == previous
 
 
 # -- the grow loop ------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from stereopatch import cli, io
 from stereopatch.distributions import GammaParams, WeibullParams
 from stereopatch.geometry import build_hull, choose_plane_form, fit_plane
-from stereopatch.growing import Patch
+from stereopatch.growing import Patch, PatchStack
 from stereopatch.seeding import SegmentPair
 from stereopatch.stereo import EllipsePrior, PointCloud
 from stereopatch.synth import GroundTruth, SceneSpec, build_faces, generate
@@ -274,7 +274,12 @@ def test_patches_roundtrip(tmp_path, two_plane_run):
         doc.accepted,
     )
     assert len(loaded.patches) == len(doc.patches)
-    for a, b in zip(sorted(doc.patches, key=lambda p: p.id), loaded.patches):
+    saved = sorted(doc.patches, key=lambda p: p.id)
+    probe = two_plane_run.cloud.positions[:1]
+    saved_const = PatchStack(saved, probe, two_plane_run.rig).log_const
+    loaded_const = PatchStack(loaded.patches, probe, two_plane_run.rig).log_const
+    assert saved_const == pytest.approx(loaded_const, rel=1e-15)
+    for a, b in zip(saved, loaded.patches):
         assert a.id == b.id
         assert a.plane.form == b.plane.form
         assert np.array_equal(a.plane.coeffs, b.plane.coeffs)
@@ -285,7 +290,6 @@ def test_patches_roundtrip(tmp_path, two_plane_run):
         assert a.members == b.members
         assert (a.theta.shape, a.theta.scale) == (b.theta.shape, b.theta.scale)
         assert a.boundary_weight == b.boundary_weight
-        assert a.log_const == pytest.approx(b.log_const, rel=1e-15)
     again = tmp_path / "patches2.json"
     io.save_patches(again, loaded)
     assert again.read_bytes() == path.read_bytes()
@@ -365,6 +369,85 @@ def test_cli_rejects_mistyped_config_values(tmp_path, small_scene, block):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "config.json" in proc.stderr
+
+
+def _set(*keys_and_value):
+    """Mutation that stores the last argument at the key path given by the others."""
+    *keys, value = keys_and_value
+
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        pytest.param("segments.json", _set("pairs", 5), id="pairs-not-a-list"),
+        pytest.param(
+            "segments.json", _set("pairs", 0, "left", "inertia", 0, float("nan")),
+            id="nan-inertia",
+        ),
+        pytest.param(
+            "segments.json", _set("pairs", 0, "right", "centroid", 1, float("inf")),
+            id="inf-centroid",
+        ),
+        pytest.param("cameras.json", _set("pixel_noise_left", [1]), id="noise-in-a-list"),
+        pytest.param("cameras.json", _set("pixel_noise_left", float("nan")), id="nan-noise"),
+        pytest.param("cameras.json", _set("pixel_noise_right", float("inf")), id="inf-noise"),
+        pytest.param("cameras.json", _set("pixel_noise_right", -0.001), id="negative-noise"),
+        pytest.param("cameras.json", _set("camera_left", 0, 0, float("nan")), id="nan-camera"),
+        pytest.param("cameras.json", _set("image_size", [-800, 600]), id="negative-image-size"),
+        pytest.param("gt.json", _set("faces", 5), id="faces-not-a-list"),
+        pytest.param("gt.json", _set("faces", [5]), id="face-not-an-object"),
+        pytest.param("patches.json", _set("patches", 5), id="patches-not-a-list"),
+        pytest.param("patches.json", _set("unassigned", 5), id="unassigned-not-a-list"),
+        pytest.param(
+            "patches.json", _set("patches", 0, "members", 0, 1000000),
+            id="member-past-the-end",
+        ),
+        pytest.param("patches.json", _set("patches", 0, "members", 0, -3), id="negative-member"),
+        pytest.param(
+            "patches.json", _set("patches", 0, "intensity_override", "bright"),
+            id="mistyped-intensity",
+        ),
+    ],
+)
+def test_cli_rejects_out_of_range_and_mistyped_input_files(tmp_path, small_scene, name, mutate):
+    import json
+    import subprocess
+    import sys
+
+    gt_path, patches_path, _ = perfect_fixture(tmp_path)
+    files = {
+        "cloud.ply": small_scene / "cloud.ply",
+        "cameras.json": small_scene / "cameras.json",
+        "segments.json": small_scene / "segments.json",
+        "gt.json": gt_path,
+        "patches.json": patches_path,
+    }
+    doc = json.loads(files[name].read_text())
+    mutate(doc)
+    files[name] = tmp_path / "broken" / name
+    files[name].parent.mkdir()
+    files[name].write_text(json.dumps(doc))
+    if name in ("gt.json", "patches.json"):
+        argv = ["eval", "--gt", files["gt.json"], "--patches", files["patches.json"]]
+    else:
+        argv = ["extract", "--cloud", files["cloud.ply"], "--cameras", files["cameras.json"],
+                "--segments", files["segments.json"], "--out-dir", tmp_path / "out"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "stereopatch.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(files[name]) in proc.stderr
 
 
 # -- command line -----------------------------------------------------------------
