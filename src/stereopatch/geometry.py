@@ -222,7 +222,9 @@ class PlanarHull:
     """Convex boundary polygon of a patch, living on the owning plane.
 
     ``vertices`` are counter-clockwise in the (axis_u, axis_v) frame and are
-    reconstructed from their 2D coordinates, so they sit exactly on the plane.
+    reconstructed from their 2D coordinates, so they sit exactly on the plane;
+    ``sources`` are the points they were projected from (for a hull read
+    from disk, the vertices themselves), which ``update_hull`` grows from.
     ``normal``/``offset`` copy the implicit form of the plane that
     ``build_hull``, ``update_hull`` or ``hull_from_vertices`` was given, so
     a point's signed distance to the hull plane is bitwise its distance to
@@ -237,6 +239,7 @@ class PlanarHull:
     axis_v: np.ndarray
     normal: np.ndarray
     offset: float
+    sources: np.ndarray
 
     @cached_property
     def contain_tol(self) -> float:
@@ -254,16 +257,6 @@ class PlanarHull:
         e = self.edge_vectors
         ee = np.sum(e * e, axis=1)
         return np.where(ee > 0, ee, 1.0)
-
-    def to_2d(self, points: np.ndarray) -> np.ndarray:
-        return _to_frame(points, self.origin, self.axis_u, self.axis_v)
-
-    def contains_2d(self, pts2d: np.ndarray) -> np.ndarray:
-        """Non-strict membership of 2D points in the hull polygon."""
-        q = np.atleast_2d(pts2d)[:, None, :]
-        return _inside_polygons(
-            q, self.verts2d[None], self.edge_vectors[None], np.array([self.contain_tol])
-        )[:, 0]
 
 
 def _inside_polygons(
@@ -369,18 +362,12 @@ class HullStack:
         return _dot_rows(np.asarray(points, float)[:, None, :], self.normal[None]) + self.offset
 
     def contains_2d(self, q: np.ndarray) -> np.ndarray:
-        """(npts, nhulls) membership of q (npts, nhulls, 2), as PlanarHull.contains_2d."""
+        """(npts, nhulls) non-strict membership of q (npts, nhulls, 2) in each hull polygon."""
         return _inside_polygons(q, self.starts, self.edges, self.tol)
 
     def boundary_sq_dist_2d(self, q: np.ndarray) -> np.ndarray:
         """(npts, nhulls) min squared distance of q (npts, nhulls, 2) to each boundary."""
         return _boundary_sq_dist(q, self.starts, self.edges, self.edge_sq)
-
-
-def _to_frame(points: np.ndarray, origin: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(n, 2) coordinates of 3D points in the in-plane frame (origin, u, v)."""
-    rel = np.atleast_2d(np.asarray(points, float)) - origin
-    return np.column_stack((rel @ u, rel @ v))
 
 
 def _project(plane: Plane, points: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -390,13 +377,8 @@ def _project(plane: Plane, points: np.ndarray) -> tuple[np.ndarray, tuple]:
     offset = float(plane.implicit[3])
     origin = -offset * normal  # closest point of the plane to the world origin
     u, v = _plane_basis(normal)
-    return _to_frame(points, origin, u, v), (origin, u, v, normal, offset)
-
-
-def _lifted_hull(verts2d: np.ndarray, frame: tuple) -> PlanarHull:
-    """Hull whose 3D vertices are lifted from their 2D coordinates, so they lie on the plane."""
-    origin, u, v = frame[:3]
-    return PlanarHull(origin + verts2d[:, :1] * u + verts2d[:, 1:] * v, verts2d, *frame)
+    rel = np.atleast_2d(np.asarray(points, float)) - origin
+    return np.column_stack((rel @ u, rel @ v)), (origin, u, v, normal, offset)
 
 
 def build_hull(plane: Plane, points: np.ndarray) -> PlanarHull:
@@ -405,11 +387,15 @@ def build_hull(plane: Plane, points: np.ndarray) -> PlanarHull:
     Raises ValueError("degenerate hull") when fewer than 3 distinct vertices
     survive (collinear projections).
     """
-    pts2d, frame = _project(plane, points)
+    pts = np.atleast_2d(np.asarray(points, float))
+    pts2d, frame = _project(plane, pts)
     idx = monotone_chain(pts2d)
     if len(idx) < 3:
         raise ValueError("degenerate hull")
-    return _lifted_hull(pts2d[idx], frame)
+    # lift the 2D vertices back to 3D, so they lie on the plane
+    origin, u, v = frame[:3]
+    verts2d = pts2d[idx]
+    return PlanarHull(origin + verts2d[:, :1] * u + verts2d[:, 1:] * v, verts2d, *frame, pts[idx])
 
 
 def hull_from_vertices(plane: Plane, vertices: np.ndarray) -> PlanarHull:
@@ -423,26 +409,19 @@ def hull_from_vertices(plane: Plane, vertices: np.ndarray) -> PlanarHull:
     if len(verts) < 3:
         raise ValueError("degenerate hull")
     verts2d, frame = _project(plane, verts)
-    return PlanarHull(verts, verts2d, *frame)
+    return PlanarHull(verts, verts2d, *frame, verts)
 
 
-def update_hull(
-    hull: PlanarHull, plane: Plane, new_points: np.ndarray, all_points: np.ndarray
-) -> PlanarHull:
-    """Refresh the hull after the plane moved and/or points were accepted.
+def update_hull(hull: PlanarHull, plane: Plane, new_points: np.ndarray) -> PlanarHull:
+    """Hull of the current vertices' source points and the new points on the refitted plane.
 
-    Existing vertices are re-projected onto the current plane every call (the
-    plane drifts with each refit).  The full monotone-chain rebuild over all
-    member points only runs when some new point lands outside the current
-    polygon; interior acceptances keep the vertex set.
+    On a fixed plane hull(hull(S) + T) = hull(S + T), so the chain runs over
+    the h vertex sources and the k new points instead of every member.  The
+    sources are the members themselves, not their projections on an earlier
+    fit, so the result equals a rebuild over all members on the current
+    plane unless the plane's drift turns an interior member into a vertex.
     """
-    reprojected = _lifted_hull(*_project(plane, hull.vertices))
-    new_pts = np.atleast_2d(np.asarray(new_points, float))
-    if len(new_pts) == 0:
-        return reprojected
-    if bool(np.all(reprojected.contains_2d(reprojected.to_2d(new_pts)))):
-        return reprojected
-    return build_hull(plane, all_points)
+    return build_hull(plane, np.vstack([hull.sources, np.reshape(new_points, (-1, 3))]))
 
 
 def point_hull_sq_dist_many(hull: PlanarHull, points: np.ndarray) -> np.ndarray:
@@ -453,15 +432,13 @@ def point_hull_sq_dist_many(hull: PlanarHull, points: np.ndarray) -> np.ndarray:
     added (the polygon is planar, so the two components are orthogonal).
     """
     pts = np.atleast_2d(np.asarray(points, float))
-    s = pts @ hull.normal + hull.offset
+    stack = HullStack([hull])
+    s = stack.signed_dist(pts)[:, 0]
     out = s * s
-    q = hull.to_2d(pts)
-    inside = hull.contains_2d(q)
-    if not np.all(inside):
-        idx = np.where(~inside)[0]
-        out[idx] += _boundary_sq_dist(
-            q[idx, None, :], hull.verts2d[None], hull.edge_vectors[None], hull.edge_sq_lengths[None]
-        )[:, 0]
+    q = stack.to_2d(pts)
+    outside = np.flatnonzero(~stack.contains_2d(q)[:, 0])
+    if len(outside):
+        out[outside] += stack.boundary_sq_dist_2d(q[outside])[:, 0]
     return out
 
 
@@ -509,14 +486,15 @@ def _edges(hull: PlanarHull) -> tuple[np.ndarray, np.ndarray]:
 
 def _any_edge_pierces(edges_from: PlanarHull, target: PlanarHull) -> bool:
     a, b = _edges(edges_from)
-    sa = a @ target.normal + target.offset
-    sb = b @ target.normal + target.offset
+    stack = HullStack([target])
+    sa = stack.signed_dist(a)[:, 0]
+    sb = stack.signed_dist(b)[:, 0]
     crossing = sa * sb < 0
     if not np.any(crossing):
         return False
     t = sa[crossing] / (sa[crossing] - sb[crossing])
     x = a[crossing] + t[:, None] * (b[crossing] - a[crossing])
-    return bool(np.any(target.contains_2d(target.to_2d(x))))
+    return bool(np.any(stack.contains_2d(stack.to_2d(x))))
 
 
 def hull_hull_min_sq_dist(hull_a: PlanarHull, hull_b: PlanarHull) -> float:
@@ -564,8 +542,7 @@ def polygon_centroid_3d(vertices: np.ndarray) -> np.ndarray:
 
 def hull_is_convex(hull: PlanarHull) -> bool:
     """Every consecutive-edge cross product has the same sign (CCW: positive)."""
-    v = hull.verts2d
-    e = np.roll(v, -1, axis=0) - v
+    e = hull.edge_vectors
     en = np.roll(e, -1, axis=0)
     cr = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
     return bool(np.all(cr > 0))

@@ -6,7 +6,9 @@ nearest-camera-first from a queue; a point joins the patch with the highest
 log posterior provided that posterior clears a per-point threshold built from
 the global acceptance level and the point's noise penalty.  Rejected points
 return to the far end of the queue and are retried after the patches have
-grown.
+grown.  An accept folds the points into the plane's running sums, grows the
+hull from the members at its vertices and the accepted points alone, and
+refits the Gamma parameters over every member.
 
 The joint distance has one implementation, ``_joint_distance``: the
 classifier scores with it and ``Patch.refit`` (in accepts, seeding and
@@ -317,19 +319,19 @@ def accept(patch: Patch, cloud: PointCloud, state: PointState, indices) -> None:
     """Fold accepted points into the patch and refresh its statistics.
 
     The plane absorbs the new points through its running sums, the hull is
-    re-projected (and rebuilt only if some new point lies outside it), and the
-    Gamma parameters are refitted to all member distances in one batch
-    (``Patch.refit``).
+    rebuilt from the members at its vertices and the new points on the
+    refitted plane (``geometry.update_hull``), and the Gamma parameters are
+    refitted to all member distances in one batch (``Patch.refit``).
     """
     idx = np.asarray(indices, dtype=int).ravel()
     if len(idx) == 0:
         return
-    patch.plane = geometry.update_fit_many(patch.plane, cloud.positions[idx])
+    new_pts = cloud.positions[idx]
+    patch.plane = geometry.update_fit_many(patch.plane, new_pts)
     patch.members.extend(int(i) for i in idx)
-    member_pts = cloud.positions[np.asarray(patch.members, dtype=int)]
-    patch.hull = geometry.update_hull(patch.hull, patch.plane, cloud.positions[idx], member_pts)
+    patch.hull = geometry.update_hull(patch.hull, patch.plane, new_pts)
     state.assign(idx, patch.id)
-    patch.refit(member_pts)
+    patch.refit(cloud.positions[np.asarray(patch.members, dtype=int)])
 
 
 @dataclass

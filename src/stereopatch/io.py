@@ -193,6 +193,13 @@ def _items(doc: dict, path, key: str) -> list:
     return value
 
 
+def _int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, a bool or anything else raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def _ellipse_doc(e: EllipsePrior) -> dict:
     return {
         "centroid": e.centroid.tolist(),
@@ -248,7 +255,7 @@ def load_cameras(path) -> tuple[StereoRig, str]:
             np.asarray(_field(doc, path, "camera_right"), float),
             float(_field(doc, path, "pixel_noise_left")),
             float(_field(doc, path, "pixel_noise_right")),
-            (int(size[0]), int(size[1])),
+            (_int(size[0], "image width"), _int(size[1], "image height")),
             model,
         )
     except (OverflowError, TypeError, ValueError) as exc:
@@ -308,7 +315,7 @@ def load_ground_truth(path) -> GroundTruth:
         return GroundTruth(
             faces,
             np.stack([f.coeffs() for f in faces]),
-            np.asarray(_field(doc, path, "labels"), int),
+            np.asarray([_int(v, "label") for v in _items(doc, path, "labels")], int),
             np.asarray(_field(doc, path, "positions"), float),
             str(doc.get("scene_id", "")),
         )
@@ -386,16 +393,16 @@ def load_patches(path) -> ExtractionDocument:
                 np.asarray(_field(entry, path, "coeffs"), float),
                 np.asarray(_field(entry, path, "implicit"), float),
                 np.asarray(_field(entry, path, "sums"), float),
-                int(_field(entry, path, "n_points")),
+                _int(_field(entry, path, "n_points"), "n_points"),
             )
             hull = hull_from_vertices(plane, np.asarray(_field(entry, path, "hull_vertices"), float))
             theta_doc = _field(entry, path, "theta")
-            members = [int(i) for i in _items(entry, path, "members")]
+            members = [_int(i, "member") for i in _items(entry, path, "members")]
             if any(i < 0 for i in members):
                 raise ValueError(f"negative member index {min(members)}")
             override = _field(entry, path, "intensity_override")
             patch = Patch(
-                int(_field(entry, path, "id")),
+                _int(_field(entry, path, "id"), "id"),
                 plane,
                 hull,
                 members,
@@ -414,13 +421,15 @@ def load_patches(path) -> ExtractionDocument:
     unassigned = _items(doc, path, "unassigned")
     epochs, truncated, accepted = (_field(doc, path, k) for k in ("epochs", "truncated", "accepted"))
     try:
+        if not isinstance(truncated, bool):
+            raise ValueError(f"truncated must be true or false, not {truncated!r}")
         return ExtractionDocument(
             patches,
-            [int(i) for i in unassigned],
+            [_int(i, "unassigned index") for i in unassigned],
             str(doc.get("scene_id", "")),
-            int(epochs),
-            bool(truncated),
-            int(accepted),
+            _int(epochs, "epochs"),
+            truncated,
+            _int(accepted, "accepted"),
         )
     except (OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
@@ -432,7 +441,11 @@ def load_patches(path) -> ExtractionDocument:
 
 
 def load_config(path) -> "RunConfig":
-    """Parse a config document into a RunConfig; unknown keys are errors."""
+    """Parse a config document into a RunConfig; unknown keys are errors.
+
+    The document's ``presets`` blocks are laid over ``pipeline.default_presets()``
+    one preset name at a time, so a config without them runs like no config.
+    """
     from .pipeline import RunConfig, _with_blocks
 
     doc = _load_json(path, "config")
@@ -450,7 +463,7 @@ def load_config(path) -> "RunConfig":
             _with_blocks(cfg, block)
         except (TypeError, ValueError) as exc:
             raise InputError(f"{path}: preset block {name!r}: {exc}") from None
-    cfg.presets = presets
+    cfg.presets = {**cfg.presets, **presets}
     known = {"format_version", "kind", "seed", "grow", "refine", "presets"}
     unknown = set(doc) - known
     if unknown:

@@ -139,7 +139,6 @@ def run_pipeline(
         pairs,
         cloud,
         cfg.seed_cfg,
-        rig,
         boundary_weight=cfg.grow_cfg.boundary_weight,
         intensity_weight=cfg.grow_cfg.intensity_weight,
     )

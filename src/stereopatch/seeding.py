@@ -193,7 +193,6 @@ def seed_patch(
     pair: SegmentPair,
     cloud: PointCloud,
     cfg: SeedConfig,
-    rig: StereoRig,
     state: PointState,
     patch_id: int,
     boundary_weight: float = 1.0,
@@ -261,7 +260,6 @@ def seed_all(
     pairs: list[SegmentPair],
     cloud: PointCloud,
     cfg: SeedConfig,
-    rig: StereoRig,
     boundary_weight: float = 1.0,
     intensity_weight: float = 1.0,
 ) -> tuple[list[Patch], PointState, list[SeedRejection]]:
@@ -292,7 +290,7 @@ def seed_all(
             rejections.append(SeedRejection("duplicate seed", pairs[i]))
             continue
         result = seed_patch(
-            pairs[i], cloud, cfg, rig, state, len(patches), boundary_weight, intensity_weight
+            pairs[i], cloud, cfg, state, len(patches), boundary_weight, intensity_weight
         )
         if isinstance(result, Patch):
             patches.append(result)

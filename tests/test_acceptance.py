@@ -61,7 +61,7 @@ def test_noiseless_seed_fit_recovery():
         patches = []
         for pid, (left, right) in enumerate(segments):
             pair = SegmentPair(left, right, triangulate(left.centroid, right.centroid, rig))
-            patch = seed_patch(pair, cloud, SeedConfig(), rig, state, pid)
+            patch = seed_patch(pair, cloud, SeedConfig(), state, pid)
             assert isinstance(patch, Patch), f"{preset}: face {pid} failed to seed"
             patches.append(patch)
         elapsed = time.perf_counter() - start

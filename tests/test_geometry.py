@@ -315,16 +315,14 @@ def test_outside_hull_matches_dense_sampling():
 def test_interior_point_leaves_hull_unchanged():
     hull, plane = unit_square_hull()
     new = np.array([[0.5, 0.5, 0.0]])
-    all_pts = np.vstack([hull.vertices, new])
-    updated = update_hull(hull, plane, new, all_pts)
+    updated = update_hull(hull, plane, new)
     assert oracles.point_set_key(updated.vertices) == oracles.point_set_key(hull.vertices)
 
 
 def test_outside_point_extends_hull():
     hull, plane = unit_square_hull()
     new = np.array([[2.0, 0.5, 0.0]])
-    all_pts = np.vstack([hull.vertices, new])
-    updated = update_hull(hull, plane, new, all_pts)
+    updated = update_hull(hull, plane, new)
     keys = {tuple(np.round(v, 9)) for v in updated.vertices}
     assert (2.0, 0.5, 0.0) in keys
     assert hull_is_convex(updated)

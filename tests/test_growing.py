@@ -10,7 +10,7 @@ from scipy.special import gammaln
 
 from stereopatch import growing, pipeline, synth
 from stereopatch.distributions import GammaParams, WeibullParams, gamma_mle
-from stereopatch.geometry import PlaneForm, build_hull, fit_plane
+from stereopatch.geometry import HullStack, PlaneForm, build_hull, fit_plane
 from stereopatch.growing import (
     GrowConfig,
     Patch,
@@ -101,7 +101,7 @@ def build_micro(n=1000, seed=0, half=0.5, depth=4.0, noise=0.001):
     state = PointState(len(cloud))
     cfg = GrowConfig(log_threshold=-15.0, boundary_weight=1e-7)
     patch = seed_patch(
-        pair, cloud, SeedConfig(), rig, state, 0, boundary_weight=cfg.boundary_weight
+        pair, cloud, SeedConfig(), state, 0, boundary_weight=cfg.boundary_weight
     )
     assert isinstance(patch, Patch)
     return SimpleNamespace(
@@ -264,7 +264,6 @@ def build_seeded(preset="random-planes-4", points_per_face=150, seed=0):
         pairs,
         cloud,
         cfg.seed_cfg,
-        rig,
         cfg.grow_cfg.boundary_weight,
         cfg.grow_cfg.intensity_weight,
     )
@@ -483,7 +482,8 @@ def test_stacked_scores_match_per_patch_reference():
     assert ok_right[0]  # invisible to the left camera only
     # every hull sees probe points on both sides of its boundary
     for patch in scene.patches:
-        inside = patch.hull.contains_2d(patch.hull.to_2d(scene.positions[: scene.n_probes]))
+        hull = HullStack([patch.hull])
+        inside = hull.contains_2d(hull.to_2d(scene.positions[: scene.n_probes]))[:, 0]
         assert 0 < np.count_nonzero(inside) < scene.n_probes
 
 
@@ -621,6 +621,41 @@ def test_hundred_accepts_equal_scratch_recompute():
         patch.hull.vertices[:, None, :] - scratch_hull.vertices[None, :, :], axis=2
     )
     assert np.max(gaps.min(axis=1)) <= 1e-6
+
+
+def test_every_accept_keeps_the_hull_equal_to_a_rebuild_over_all_members():
+    # Batches of 1-7 points, served roughly from the centre out, mix points
+    # inside and outside the current hull; the noisy tilted plane moves with
+    # every refit, starting from an 8-point fit.
+    rng = np.random.default_rng(11)
+    n = 400
+    ab = rng.uniform(-1.0, 1.0, (n, 2))
+    ab = ab[np.argsort(np.hypot(ab[:, 0], ab[:, 1]) + rng.uniform(0.0, 0.6, n))]
+    z = 0.4 * ab[:, 0] - 0.3 * ab[:, 1] + 2.0 + rng.normal(0.0, 1e-3, n)
+    positions = np.column_stack([ab, z])
+    cloud = PointCloud(positions, np.zeros((n, 2)), np.zeros((n, 2)))
+    state = PointState(n)
+    seed = np.arange(8)
+    plane = fit_plane(positions[seed], PlaneForm.Z)
+    hull = build_hull(plane, positions[seed])
+    patch = Patch(0, plane, hull, list(seed), GammaParams(2.0, 1e-6), None, 1e-3)
+    state.assign(seed, 0)
+    start, mixed = len(seed), 0
+    while start < n:
+        batch = np.arange(start, min(start + int(rng.integers(1, 8)), n))
+        start = batch[-1] + 1
+        before = HullStack([patch.hull])
+        inside = before.contains_2d(before.to_2d(positions[batch]))[:, 0]
+        mixed += bool(inside.any() and not inside.all())
+        accept(patch, cloud, state, batch)
+        members = positions[np.asarray(patch.members)]
+        after = HullStack([patch.hull])
+        assert np.all(after.contains_2d(after.to_2d(members)))
+        scratch = build_hull(patch.plane, members)
+        assert len(patch.hull.vertices) == len(scratch.vertices)
+        gaps = np.linalg.norm(patch.hull.vertices[:, None] - scratch.vertices[None], axis=2)
+        assert np.max(gaps.min(axis=1)) <= 1e-6
+    assert mixed >= 20
 
 
 def fitted_theta(patch, cloud):

@@ -316,6 +316,8 @@ def test_load_config_applies_blocks(tmp_path):
     tuned = cfg.for_scene("two-plane:0:10:0.001")
     assert tuned.grow_cfg.boundary_weight == 1e-5
     assert tuned.grow_cfg.log_threshold == -12.5
+    # a preset the file does not name keeps its built-in block
+    assert cfg.for_scene("chessboard:0:10:0.001").grow_cfg.boundary_weight == 1e-4
 
     path.write_text('{"format_version": 1, "kind": "config", "banana": 1}')
     with pytest.raises(io.InputError, match="unknown config fields"):
@@ -332,6 +334,21 @@ def test_load_config_applies_blocks(tmp_path):
     path.write_text('{"format_version": 99, "kind": "config"}')
     with pytest.raises(io.InputError, match="format_version"):
         io.load_config(path)
+
+
+def test_an_empty_config_extracts_like_no_config(tmp_path, capsys):
+    scene = synth_dir(tmp_path, "scene", "--points-per-face", "300")
+    config = tmp_path / "config.json"
+    config.write_text('{"format_version": 1, "kind": "config"}')
+    inputs = ["--cloud", scene / "cloud.ply", "--cameras", scene / "cameras.json",
+              "--segments", scene / "segments.json"]
+    assert run_cli(capsys, "extract", *inputs, "--out-dir", tmp_path / "plain")[0] == 0
+    code, _, _ = run_cli(
+        capsys, "extract", *inputs, "--config", config, "--out-dir", tmp_path / "configured"
+    )
+    assert code == 0
+    plain = (tmp_path / "plain" / "patches.json").read_bytes()
+    assert (tmp_path / "configured" / "patches.json").read_bytes() == plain
 
 
 @pytest.mark.parametrize(
@@ -414,6 +431,19 @@ def _set(*keys_and_value):
             "patches.json", _set("patches", 0, "intensity_override", "bright"),
             id="mistyped-intensity",
         ),
+        pytest.param("cameras.json", _set("image_size", [800.7, 600]), id="fractional-image-size"),
+        pytest.param("gt.json", _set("labels", 7, 1.7), id="fractional-label"),
+        pytest.param("gt.json", _set("labels", 0, False), id="boolean-label"),
+        pytest.param(
+            "patches.json", _set("patches", 0, "members", [0.9, 1.5, 2.7, 3.2]),
+            id="fractional-members",
+        ),
+        pytest.param("patches.json", _set("patches", 1, "id", 1.5), id="fractional-id"),
+        pytest.param("patches.json", _set("patches", 0, "n_points", 4.5), id="fractional-n-points"),
+        pytest.param("patches.json", _set("unassigned", [0.5]), id="fractional-unassigned"),
+        pytest.param("patches.json", _set("epochs", 1.5), id="fractional-epochs"),
+        pytest.param("patches.json", _set("accepted", True), id="boolean-accepted"),
+        pytest.param("patches.json", _set("truncated", "no"), id="string-truncated"),
     ],
 )
 def test_cli_rejects_out_of_range_and_mistyped_input_files(tmp_path, small_scene, name, mutate):
@@ -686,3 +716,22 @@ def test_module_entry_point_prints_usage():
     )
     assert proc.returncode == 0
     assert "extract" in proc.stdout and "synth" in proc.stdout
+
+
+def test_importing_the_cli_leaves_scipy_spatial_and_optimize_unloaded():
+    # Each would add memory and start-up time to every command (scipy.spatial
+    # about 11 MB and 0.14 s, scipy.optimize about 23 MB): the extraction
+    # benchmark's peak_rss_mb would see it.  synth imports
+    # linear_sum_assignment inside the one function that needs it.
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, stereopatch.cli\n"
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

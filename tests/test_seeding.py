@@ -148,7 +148,7 @@ def test_noiseless_seed_recovers_the_plane(quiet_two_plane_scene):
     pairs = segment_to_pairs(
         left, right, [(i, i) for i in range(len(left))], scene.rig
     )
-    patches, state, rejections = seed_all(pairs, scene.cloud, SeedConfig(), scene.rig)
+    patches, state, rejections = seed_all(pairs, scene.cloud, SeedConfig())
     assert len(patches) == len(scene.gt.faces)
     assert not rejections
     for patch in patches:
@@ -168,7 +168,7 @@ def test_low_noise_seed_planes_are_accurate():
     left = [pair[0] for pair in segments]
     right = [pair[1] for pair in segments]
     pairs = segment_to_pairs(left, right, [(i, i) for i in range(len(left))], rig)
-    patches, state, rejections = seed_all(pairs, cloud, SeedConfig(), rig)
+    patches, state, rejections = seed_all(pairs, cloud, SeedConfig())
     assert len(patches) >= 6
     for patch in patches:
         ssd = min(
@@ -189,7 +189,7 @@ def test_seed_in_empty_space_is_sparse(two_plane_scene):
         np.array([50.0, 50.0, 50.0]),
     )
     state = PointState(len(scene.cloud))
-    out = seed_patch(lonely, scene.cloud, SeedConfig(), scene.rig, state, 0)
+    out = seed_patch(lonely, scene.cloud, SeedConfig(), state, 0)
     assert isinstance(out, SeedRejection)
     assert out.reason == "sparse seed"
 
@@ -203,7 +203,7 @@ def test_members_lie_inside_the_seed_sphere(two_plane_scene):
     )
     cfg = SeedConfig()
     radius = cfg.resolve_radius(scene.cloud)
-    patches, state, _ = seed_all(pairs, scene.cloud, cfg, scene.rig)
+    patches, state, _ = seed_all(pairs, scene.cloud, cfg)
     for patch in patches:
         member_pts = scene.cloud.positions[np.asarray(patch.members)]
         sq = np.sum((member_pts - patch.pair.seed) ** 2, axis=1)
@@ -217,7 +217,7 @@ def test_point_states_are_mutually_exclusive(two_plane_scene):
     pairs = segment_to_pairs(
         left, right, [(i, i) for i in range(len(left))], scene.rig
     )
-    patches, state, _ = seed_all(pairs, scene.cloud, SeedConfig(), scene.rig)
+    patches, state, _ = seed_all(pairs, scene.cloud, SeedConfig())
     for patch in patches:
         assigned = state.assigned_to[np.asarray(patch.members)]
         assert np.all(assigned == patch.id)
@@ -233,6 +233,6 @@ def test_duplicate_seeds_collapse_to_one(two_plane_scene):
         left, right, [(i, i) for i in range(len(left))], scene.rig
     )
     doubled = [pairs[0], pairs[0], pairs[1]]
-    patches, state, rejections = seed_all(doubled, scene.cloud, SeedConfig(), scene.rig)
+    patches, state, rejections = seed_all(doubled, scene.cloud, SeedConfig())
     assert len(patches) == 2
     assert any(r.reason == "duplicate seed" for r in rejections)
