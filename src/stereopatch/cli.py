@@ -310,6 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "samples", None) is None and getattr(args, "axis", None):
         args.samples = 7 if args.axis == "thresholds" else 20
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, not {args.seed}")
         return args.func(args)
     except io.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

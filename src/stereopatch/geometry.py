@@ -206,14 +206,24 @@ def monotone_chain(points2d: np.ndarray) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b of two 3-vectors, written out with ``np.cross``'s multiplies and
+    subtractions in its order, so the result equals it bit for bit (signed
+    zeros included) without its per-call array overhead."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal in-plane axes for a unit normal."""
-    if abs(normal[2]) < 0.9:
-        u = np.cross(normal, [0.0, 0.0, 1.0])
+    n = normal.tolist()
+    if abs(n[2]) < 0.9:
+        u = _cross(n, (0.0, 0.0, 1.0))
     else:
-        u = np.cross(normal, [1.0, 0.0, 0.0])
+        u = _cross(n, (1.0, 0.0, 0.0))
     u = u / np.linalg.norm(u)
-    v = np.cross(normal, u)
+    v = _cross(n, u.tolist())
     return u, v
 
 
@@ -277,13 +287,23 @@ def _inside_polygons(
 def _boundary_sq_dist(
     q: np.ndarray, starts: np.ndarray, edges: np.ndarray, edge_sq: np.ndarray
 ) -> np.ndarray:
-    """(npts, npolys) min squared 2D distance from q (npts, npolys, 2) to each boundary."""
-    qq = q[:, :, None, :]
-    diff = qq - starts[None]
-    t = np.clip(np.sum(diff * edges[None], axis=3) / edge_sq[None], 0.0, 1.0)
-    proj = starts[None] + t[..., None] * edges[None]
-    d2 = np.sum((qq - proj) ** 2, axis=3)
-    return np.min(d2, axis=2)
+    """(npts, npolys) min squared 2D distance from q (npts, npolys, 2) to each boundary.
+
+    Works on x/y components, so no (npts, npolys, nedges, 2) temporary is
+    made; every entry is the clamped projection of q onto each edge and
+    its squared offset, rx * rx + ry * ry, minimised over the edges.
+    """
+    qx = q[:, :, 0, None]
+    qy = q[:, :, 1, None]
+    ax = starts[None, :, :, 0]
+    ay = starts[None, :, :, 1]
+    ex = edges[None, :, :, 0]
+    ey = edges[None, :, :, 1]
+    t = ((qx - ax) * ex + (qy - ay) * ey) / edge_sq[None]
+    np.clip(t, 0.0, 1.0, out=t)
+    rx = qx - (ax + t * ex)
+    ry = qy - (ay + t * ey)
+    return np.min(rx * rx + ry * ry, axis=2)
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -62,15 +62,16 @@ class GrowConfig:
     weight mixes the hull distance into the joint point-to-patch distance and
     the intensity weight scales the image-prior contribution, which growth
     evaluates once per point and patch.  Each point is scored against all
-    patches at once by the stacked scorer (``PatchStack``).  With
-    ``batch_size`` > 1 several points are classified against the same patch
-    state before the fits are refreshed.
+    patches at once by the stacked scorer (``PatchStack``).  ``batch_size``
+    queued points (32 by default) are classified against the same patch
+    state in one stacked pass before the accepting patches' fits are
+    refreshed; ``batch_size`` = 1 refreshes them after every point.
     """
 
     log_threshold: float = -20.0
     boundary_weight: float = 1.0
     intensity_weight: float = 1.0
-    batch_size: int = 1
+    batch_size: int = 32
     max_epochs: int = 60
 
     def __post_init__(self) -> None:

@@ -481,8 +481,8 @@ def runtime_probe(
 
     The point axis scales points-per-face on the two-plane preset; the patch
     axis scales the random-planes face count at fixed per-face sampling.
-    Super-linear growth (doubling the axis more than quadrupling the time)
-    is logged as a warning, not an error.
+    Worse-than-quadratic growth (doubling the axis more than quadruples the
+    time) is logged as a warning, not an error.
     """
     from . import pipeline as pl
 
@@ -526,7 +526,8 @@ def runtime_probe(
         for prev, cur in zip(axis_rows, axis_rows[1:]):
             if cur["value"] == 2 * prev["value"] and cur["seconds"] > 4.0 * max(prev["seconds"], 1e-9):
                 logger.warning(
-                    "%s axis scales super-linearly: {%d: %.3fs, %d: %.3fs}",
+                    "%s axis scales worse than quadratically (doubling it more than quadrupled the time): "
+                    "{%d: %.3fs, %d: %.3fs}",
                     axis,
                     prev["value"],
                     prev["seconds"],

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from stereopatch import geometry
 from stereopatch.geometry import (
+    HullStack,
     PlaneForm,
     build_hull,
     choose_plane_form,
     fit_plane,
     hull_area,
+    hull_from_vertices,
     hull_hull_min_sq_dist,
     hull_is_convex,
     point_hull_sq_dist_many,
@@ -307,6 +310,56 @@ def test_outside_hull_matches_dense_sampling():
         assert got <= expect + 1e-15
         done += 1
     assert done >= 8
+
+
+def broadcast_boundary_sq_dist(q, starts, edges, edge_sq):
+    """Reference: the min-over-edges distance through (npts, npolys, nedges, 2) arrays."""
+    qq = q[:, :, None, :]
+    diff = qq - starts[None]
+    t = np.clip(np.sum(diff * edges[None], axis=3) / edge_sq[None], 0.0, 1.0)
+    proj = starts[None] + t[..., None] * edges[None]
+    d2 = np.sum((qq - proj) ** 2, axis=3)
+    return np.min(d2, axis=2)
+
+
+def test_boundary_kernel_equals_the_broadcast_formula_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for trial in range(12):
+        built = [hull_from_random_points(rng, n=int(rng.integers(3, 40))) for _ in range(4)]
+        hulls = [hull for hull, _, _ in built]
+        # a repeated vertex makes a zero-length edge, scored with the edge_sq = 1 stand-in
+        hull, plane, _ = built[0]
+        hulls.append(hull_from_vertices(plane, np.vstack([hull.vertices[:2], hull.vertices[1:]])))
+        stack = HullStack(hulls)
+        assert len({len(h.verts2d) for h in hulls}) > 1  # padding is exercised
+        assert np.any(np.all(stack.edges[-1] == 0.0, axis=1) & (stack.edge_sq[-1] == 1.0))
+        # interior points of each hull (outside the others) and points off every hull
+        weights = rng.dirichlet(np.ones(3), size=(len(hulls), 6))
+        inner = np.vstack([w @ h.vertices[:3] for w, h in zip(weights, hulls)])
+        points = np.vstack([inner, rng.uniform(-4.0, 4.0, (30, 3))])
+        q = stack.to_2d(points)
+        inside = stack.contains_2d(q)
+        assert np.any(inside) and not np.all(inside)
+        got = stack.boundary_sq_dist_2d(q)
+        expect = broadcast_boundary_sq_dist(q, stack.starts, stack.edges, stack.edge_sq)
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_plane_basis_equals_the_np_cross_form():
+    rng = np.random.default_rng(32)
+    normals = rng.normal(size=(3000, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    axes = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [-0.0, 1.0, 0.0], [0.6, 0.0, 0.8]]
+    near = [[np.sqrt(1.0 - z * z), 0.0, z] for z in (0.9, np.nextafter(0.9, 0.0), -0.9)]
+    normals = np.vstack([normals, axes, near])
+    assert np.any(np.abs(normals[:, 2]) < 0.9) and np.any(np.abs(normals[:, 2]) >= 0.9)
+    for n in normals:
+        helper = [0.0, 0.0, 1.0] if abs(n[2]) < 0.9 else [1.0, 0.0, 0.0]
+        u = np.cross(n, helper)
+        u = u / np.linalg.norm(u)
+        v = np.cross(n, u)
+        got_u, got_v = geometry._plane_basis(n)
+        assert got_u.tobytes() == u.tobytes() and got_v.tobytes() == v.tobytes()
 
 
 # -- hull maintenance ---------------------------------------------------------

@@ -569,6 +569,23 @@ def test_growth_keeps_its_stack_equal_to_a_fresh_one(monkeypatch):
     assert max(seen) > seen[0]  # some hull outgrew the padding during growth
 
 
+def test_growth_classifies_a_batch_of_queued_points_per_stacked_pass_by_default(monkeypatch):
+    assert GrowConfig().batch_size == 32
+    scene = build_micro(n=900, seed=11)
+    rows = []
+    real = growing.classify_batch
+
+    def counted(patches, cloud, indices, *args):
+        rows.append(len(indices))
+        return real(patches, cloud, indices, *args)
+
+    monkeypatch.setattr(growing, "classify_batch", counted)
+    result = grow([scene.patch], scene.cloud, scene.cfg, scene.rig, scene.state)
+    assert result.accepted > 0
+    assert max(rows) == 32
+    assert len(rows) < sum(rows)
+
+
 # -- accepting points ---------------------------------------------------------
 
 

@@ -483,6 +483,21 @@ def test_cli_rejects_out_of_range_and_mistyped_input_files(tmp_path, small_scene
 # -- command line -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("command", ["extract", "synth", "calibrate", "sweep"])
+def test_cli_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys, small_scene, command):
+    args = {
+        "extract": ["--cloud", small_scene / "cloud.ply", "--cameras", small_scene / "cameras.json",
+                    "--segments", small_scene / "segments.json", "--out-dir", tmp_path / "out"],
+        "synth": ["--preset", "two-plane", "--points-per-face", "50", "--out-dir", tmp_path / "out"],
+        "calibrate": ["--cloud", small_scene / "cloud.ply", "--cameras", small_scene / "cameras.json",
+                      "--out", tmp_path / "cameras.json"],
+        "sweep": ["--axis", "points", "--values", "100", "--out-dir", tmp_path / "out"],
+    }[command]
+    code, _, err = run_cli(capsys, command, *args, "--seed", "-1")
+    assert code == 2
+    assert "--seed" in err and "-1" in err
+
+
 def test_cli_synth_is_deterministic(tmp_path, capsys):
     dir_a = synth_dir(tmp_path, "a")
     dir_b = synth_dir(tmp_path, "b")
