@@ -28,6 +28,8 @@ _GRID_COLUMNS = [
     "error",
 ]
 _TIMING_COLUMNS = ["axis", "value", "points", "patches", "seconds", "error"]
+# default --values of the runtime axes: total points, and random-planes face counts
+_DEFAULT_VALUES = {"points": "1000,2000,4000", "patches": "2,4,8"}
 
 
 def _setup_logging(verbosity: int) -> None:
@@ -209,15 +211,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             args.preset, taus, weights, cfg, args.seed, args.points_per_face, args.noise
         )
         _write_csv(out, _GRID_COLUMNS, rows)
-    elif args.axis == "points":
-        rows = synth.runtime_probe(
-            _parse_values(args.values or "1000,2000,4000"), [], args.noise, args.seed
-        )
-        _write_csv(out, _TIMING_COLUMNS, rows)
     else:
-        rows = synth.runtime_probe(
-            [], _parse_values(args.values or "2,4,8"), args.noise, args.seed
-        )
+        values = _parse_values(args.values or _DEFAULT_VALUES[args.axis])
+        counts = (values, []) if args.axis == "points" else ([], values)
+        rows = synth.runtime_probe(*counts, args.noise, args.seed)
         _write_csv(out, _TIMING_COLUMNS, rows)
 
     failed = sum(1 for r in rows if r.get("error"))

@@ -29,7 +29,7 @@ import logging
 import math
 import numbers
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -80,6 +80,8 @@ class GrowConfig:
         )
         if self.boundary_weight <= 0:
             raise ValueError("boundary weight must be positive")
+        if self.intensity_weight < 0:
+            raise ValueError("intensity_weight must not be negative")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
         if self.max_epochs < 1:
@@ -91,7 +93,6 @@ class PointState:
 
     def __init__(self, n_points: int) -> None:
         self.assigned_to = np.full(n_points, -1, dtype=int)
-        self.rejected_by: dict[int, set[int]] = {}
 
     def __len__(self) -> int:
         return len(self.assigned_to)
@@ -107,21 +108,6 @@ class PointState:
 
     def release(self, indices) -> None:
         self.assigned_to[np.asarray(indices, dtype=int)] = -1
-
-    def reject(self, indices, patch_id: int) -> None:
-        for i in np.asarray(indices, dtype=int):
-            self.rejected_by.setdefault(int(i), set()).add(patch_id)
-
-    def barred(self, patch_ids: list[int]) -> np.ndarray:
-        """(n_points, n_patches) mask of the points each listed patch rejected."""
-        column = {pid: j for j, pid in enumerate(patch_ids)}
-        out = np.zeros((len(self), len(patch_ids)), dtype=bool)
-        for i, pids in self.rejected_by.items():
-            for pid in pids:
-                j = column.get(pid)
-                if j is not None:
-                    out[i, j] = True
-        return out
 
     def available_mask(self) -> np.ndarray:
         return self.assigned_to < 0
@@ -144,6 +130,8 @@ class Patch:
     intensity_weight: float = 1.0
     # merged patches carry a member-weighted intensity instead of their pair's
     intensity_override: float | None = None
+    # points the seed's residual prune excluded; growth never offers them to this patch
+    pruned: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     @property
     def mean_intensity(self) -> float:
@@ -223,29 +211,25 @@ def _image_prior(
 class PatchStack:
     """The stacked scorer: the log posterior of points against every patch at once.
 
-    It is built over a fixed point set (during growth, the whole cloud).  The
-    image prior, the two-camera visibility and the points each patch has
-    rejected (``state``) are evaluated once for all of those points, since
-    growth does not change them.  Hulls, weights, Gamma parameters and the
-    log posterior's constant are stacked along a patch axis; ``refresh``
-    re-reads one patch after it has accepted points.  Each entry takes the
-    same floating-point operations, in the same order, as scoring that one
-    point against that one patch alone.
+    It is built over a fixed point set, the cloud's positions: each patch's
+    seed-pruned points (``Patch.pruned``) are cloud indices, and each bars
+    its row for that patch alone.  Patches without pruned points (hand-built,
+    loaded or merged ones) may be scored over any points.  The image prior,
+    the two-camera visibility and the pruned mask are evaluated once for all
+    of the points, since growth does not change them.  Hulls, weights, Gamma
+    parameters and the log posterior's constant are stacked along a patch
+    axis; ``refresh`` re-reads one patch after it has accepted points.  Each
+    entry takes the same floating-point operations, in the same order, as
+    scoring that one point against that one patch alone.
     """
 
-    def __init__(
-        self,
-        patches: list[Patch],
-        positions: np.ndarray,
-        rig: StereoRig,
-        state: PointState | None = None,
-    ) -> None:
+    def __init__(self, patches: list[Patch], positions: np.ndarray, rig: StereoRig) -> None:
         self.patches = list(patches)
         self.positions = np.atleast_2d(np.asarray(positions, float))
         self.prior, self.half_log_moments, visible = _image_prior(self.patches, self.positions, rig)
-        self.blocked = ~visible[:, None]
-        if state is not None:
-            self.blocked = self.blocked | state.barred([p.id for p in self.patches])
+        self.blocked = np.repeat(~visible[:, None], len(self.patches), axis=1)
+        for j, patch in enumerate(self.patches):
+            self.blocked[patch.pruned, j] = True
         self._column = {p.id: j for j, p in enumerate(self.patches)}
         n = len(self.patches)
         self.hulls = geometry.HullStack([p.hull for p in self.patches])
@@ -285,7 +269,6 @@ def classify_batch(
     indices: np.ndarray,
     cfg: GrowConfig,
     rig: StereoRig,
-    state: PointState | None = None,
     stack: PatchStack | None = None,
 ) -> list[int | None]:
     """Best patch for each point, or None below the acceptance threshold.
@@ -293,9 +276,9 @@ def classify_batch(
     The winner is the argmax of the log posteriors (ties go to the lowest
     patch id); it is accepted only when the winning posterior clears
     log_threshold + noise penalty + noise-model offset for that point.
-    Patches that rejected a point in ``state`` are barred for it.  ``stack``
-    is the stacked scorer of ``patches`` over ``cloud`` with ``state``'s
-    rejections, as ``grow`` keeps it; without one it is built for this call.
+    A patch never wins a point it pruned at seeding (``Patch.pruned``).
+    ``stack`` is the stacked scorer of ``patches`` over ``cloud``, as
+    ``grow`` keeps it; without one it is built for this call.
     """
     if rig.noise_model is None:
         raise ValueError("rig has no calibrated noise model")
@@ -305,7 +288,7 @@ def classify_batch(
     if not patches:
         return [None] * len(idx)
     if stack is None:
-        stack = PatchStack(patches, cloud.positions, rig, state)
+        stack = PatchStack(patches, cloud.positions, rig)
     scores = stack.scores(idx)
     # np.argmax returns the first maximum, and patches are kept sorted by id,
     # so exact ties resolve to the lowest patch id
@@ -358,8 +341,10 @@ def grow(
     first while the patches are still small; rejected points are re-inserted
     at the top and come around again in the next epoch.  The loop ends when a
     full epoch accepts nothing, or after ``max_epochs`` (flagged truncated).
-    Without patches nothing can be accepted: no epoch runs and every
-    available point stays unassigned.
+    One ``PatchStack`` over the cloud scores every batch, so a patch never
+    takes a point its seed pruned (``Patch.pruned``).  Without patches
+    nothing can be accepted: no epoch runs and every available point stays
+    unassigned.
     """
     centers = rig.camera_centers()
     avail = state.available_indices()
@@ -370,9 +355,7 @@ def grow(
     if not patches:
         return GrowResult(patches, [int(i) for i in queue], 0, False, 0)
 
-    # seed_patch is the only writer of state.rejected_by, so the barred mask
-    # the stack takes from it holds for the whole loop
-    stack = PatchStack(patches, cloud.positions, rig, state)
+    stack = PatchStack(patches, cloud.positions, rig)
     epochs = 0
     truncated = False
     accepted_total = 0
@@ -383,7 +366,7 @@ def grow(
     while queue:
         k = min(cfg.batch_size, len(queue), epoch_remaining)
         batch = [queue.pop() for _ in range(k)]
-        decisions = classify_batch(patches, cloud, np.array(batch), cfg, rig, state, stack)
+        decisions = classify_batch(patches, cloud, np.array(batch), cfg, rig, stack)
         taken: dict[int, list[int]] = {}
         for point_idx, decision in zip(batch, decisions):
             if decision is None:

@@ -129,9 +129,7 @@ def run_pipeline(
 
     prepare(cloud, rig, seed)
 
-    left = [pair[0] for pair in segments]
-    right = [pair[1] for pair in segments]
-    pairs = segment_to_pairs(left, right, [(i, i) for i in range(len(segments))], rig)
+    pairs = segment_to_pairs(segments, rig)
     if not pairs:
         raise PipelineError("no segment pair triangulates")
 
@@ -254,11 +252,8 @@ def sweep_thresholds(
     rows = []
     for log_tau in log_thresholds:
         for weight in boundary_weights:
-            cell = RunConfig(
-                base.seed_cfg,
-                replace(base.grow_cfg, log_threshold=float(log_tau), boundary_weight=float(weight)),
-                base.refine_cfg,
-                base.presets,
+            cell = _with_blocks(
+                base, {"grow": {"log_threshold": float(log_tau), "boundary_weight": float(weight)}}
             )
             try:
                 result = run_pipeline(cloud, rig, segments, cell, seed)

@@ -39,6 +39,16 @@ class RefineConfig:
         _check_config(
             self, ("min_members",), ("normal_dot_min", "intensity_tol"), ("hull_dist_max", "min_area")
         )
+        if not 0.0 <= self.normal_dot_min <= 1.0:
+            raise ValueError("normal_dot_min must lie in [0, 1]")
+        if self.min_members < 1:
+            raise ValueError("min_members must be at least 1")
+        if self.intensity_tol < 0:
+            raise ValueError("intensity_tol must not be negative")
+        for name in ("hull_dist_max", "min_area"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must not be negative")
 
     def resolved(self, cloud: PointCloud, seed_radius: float) -> "RefineConfig":
         hull_dist = self.hull_dist_max

@@ -17,7 +17,7 @@ from scipy import ndimage
 from . import geometry
 from .distributions import GammaParams, gamma_sum_approx
 from .growing import Patch, PointState, _check_config
-from .stereo import _DIST_CLAMP, EllipsePrior, PointCloud, StereoRig, triangulate
+from .stereo import _DIST_CLAMP, EllipsePrior, PointCloud, StereoRig, triangulate_many
 
 logger = logging.getLogger(__name__)
 
@@ -60,11 +60,13 @@ class SeedConfig:
             raise ValueError("min cluster must be at least 4")
         if not 0.0 < self.overlap_drop <= 1.0:
             raise ValueError("overlap fraction must lie in (0, 1]")
+        for name in ("radius", "inlier_residual"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive")
 
     def resolve_radius(self, cloud: PointCloud) -> float:
         if self.radius is not None:
-            if self.radius <= 0:
-                raise ValueError("radius must be positive")
             return float(self.radius)
         return self.radius_frac * cloud.bbox_diagonal()
 
@@ -78,26 +80,25 @@ class SeedRejection:
 
 
 def segment_to_pairs(
-    left_segments: list[EllipsePrior],
-    right_segments: list[EllipsePrior],
-    correspondences: list[tuple[int, int]],
-    rig: StereoRig,
+    segments: list[tuple[EllipsePrior, EllipsePrior]], rig: StereoRig
 ) -> list[SegmentPair]:
-    """Triangulate corresponding segment centroids into seed points.
+    """Triangulate the centroids of each (left, right) segment pair into a seed point.
 
-    Pairs whose centroids triangulate degenerately are dropped with a logged
+    All centroids are triangulated in one ``triangulate_many`` batch.  Pairs
+    whose centroids triangulate degenerately are dropped with a logged
     warning rather than aborting the run.
     """
+    if not segments:
+        return []
+    left = np.array([el.centroid for el, _ in segments])
+    right = np.array([er.centroid for _, er in segments])
+    seeds, ok = triangulate_many(left, right, rig)
     pairs: list[SegmentPair] = []
-    for li, ri in correspondences:
-        el = left_segments[li]
-        er = right_segments[ri]
-        try:
-            seed = triangulate(el.centroid, er.centroid, rig)
-        except ValueError:
-            logger.warning("dropping segment pair (%d, %d): degenerate triangulation", li, ri)
+    for i, (el, er) in enumerate(segments):
+        if not ok[i]:
+            logger.warning("dropping segment pair %d: degenerate triangulation", i)
             continue
-        pairs.append(SegmentPair(el, er, seed))
+        pairs.append(SegmentPair(el, er, seeds[i]))
     return pairs
 
 
@@ -158,15 +159,18 @@ def _area_key(seg: EllipsePrior) -> float:
 
 def pair_segments_by_rank(
     left_segments: list[EllipsePrior], right_segments: list[EllipsePrior]
-) -> list[tuple[int, int]]:
-    """Pair segments across views by area rank.
+) -> list[tuple[EllipsePrior, EllipsePrior]]:
+    """Pair segments across views by area rank, as (left, right) segment tuples.
 
     This is a crude stand-in for real correspondence matching and is only
     reliable when both views see the same segments at similar scales.
     """
-    lorder = sorted(range(len(left_segments)), key=lambda i: -_area_key(left_segments[i]))
-    rorder = sorted(range(len(right_segments)), key=lambda i: -_area_key(right_segments[i]))
-    return list(zip(lorder, rorder))
+    return list(
+        zip(
+            sorted(left_segments, key=_area_key, reverse=True),
+            sorted(right_segments, key=_area_key, reverse=True),
+        )
+    )
 
 
 def _fallback_theta(
@@ -201,9 +205,10 @@ def seed_patch(
     """Grow one seed sphere into an initial patch.
 
     Returns a SeedRejection (reason "sparse seed" or "degenerate seed")
-    instead of raising when the cluster is unusable; outliers excluded by the
-    residual prune are marked rejected-by this patch so the grow loop will
-    not offer them to it again.
+    instead of raising when the cluster is unusable.  The outliers excluded
+    by the residual prune are kept on the patch as ``Patch.pruned``, and
+    growth never offers them to this patch again (other patches may take
+    them).
     """
     radius = cfg.resolve_radius(cloud)
     d2 = np.sum((cloud.positions - pair.seed) ** 2, axis=1)
@@ -233,7 +238,6 @@ def seed_patch(
             return SeedRejection("degenerate seed", pair)
 
     members = cand[inliers]
-    outliers = cand[~inliers]
     try:
         hull = geometry.build_hull(plane, cloud.positions[members])
     except ValueError:
@@ -248,11 +252,10 @@ def seed_patch(
         pair,
         boundary_weight,
         intensity_weight,
+        pruned=cand[~inliers],
     )
     patch.refit(cloud.positions[members])
     state.assign(members, patch_id)
-    if len(outliers):
-        state.reject(outliers, patch_id)
     return patch
 
 

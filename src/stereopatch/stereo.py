@@ -83,24 +83,15 @@ def _design_rows(pixels: np.ndarray, camera: np.ndarray) -> np.ndarray:
     return rows
 
 
-def triangulate(pixel_left: np.ndarray, pixel_right: np.ndarray, rig: StereoRig) -> np.ndarray:
-    """DLT triangulation of one correspondence.
-
-    Raises ValueError("degenerate triangulation") when the design matrix is
-    ill-conditioned (near-parallel rays) or the solution lands at infinity.
-    """
-    pts, ok = triangulate_many(
-        np.asarray(pixel_left, float)[None, :], np.asarray(pixel_right, float)[None, :], rig
-    )
-    if not ok[0]:
-        raise ValueError("degenerate triangulation")
-    return pts[0]
-
-
 def triangulate_many(
     pixels_left: np.ndarray, pixels_right: np.ndarray, rig: StereoRig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch DLT.  Returns (points (n,3), ok mask); bad rows are left as zeros."""
+    """Batch DLT.  Returns (points (n,3), ok mask); bad rows are left as zeros.
+
+    A row is bad (``ok`` False) when its design matrix is ill-conditioned
+    (near-parallel rays) or its solution lands at infinity.  Each row is its
+    own SVD, so a point's result does not depend on the other rows.
+    """
     pl = np.atleast_2d(np.asarray(pixels_left, float))
     pr = np.atleast_2d(np.asarray(pixels_right, float))
     a = np.concatenate(
@@ -259,7 +250,9 @@ class EllipsePrior:
     """Elliptical image segment turned into a bivariate Gaussian prior.
 
     ``inertia`` holds the second central moments (xx, xy, yy) of the segment
-    in pixels^2; the Gaussian has exactly that covariance.
+    in pixels^2; the Gaussian has exactly that covariance.  Its log density
+    is evaluated, for both views of a segment pair at once, by
+    ``growing._image_prior``.
     """
 
     centroid: np.ndarray
@@ -292,11 +285,3 @@ class EllipsePrior:
         rho = self.correlation
         return dx * dx / xx - 2.0 * rho * dx * dy / np.sqrt(xx * yy) + dy * dy / yy
 
-
-def ellipse_log_prior(ellipse: EllipsePrior, pixel: np.ndarray) -> float:
-    """Log of the bivariate Gaussian density aligned with the segment."""
-    xx, xy, yy = ellipse.inertia
-    rho = ellipse.correlation
-    om = 1.0 - rho * rho
-    z = float(ellipse.mahalanobis(pixel)[0])
-    return -z / (2.0 * om) - float(np.log(2.0 * np.pi * np.sqrt(om * xx * yy)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .growing import Patch
-from .stereo import EllipsePrior, PointCloud, StereoRig, project_many, triangulate_many
+from .stereo import EllipsePrior, PointCloud, StereoRig, _in_fov, project_many, triangulate_many
 
 logger = logging.getLogger(__name__)
 
@@ -159,12 +159,7 @@ def _random_planes(count: int, rng: np.random.Generator) -> list[Face]:
             normal /= np.linalg.norm(normal)
             if abs(normal[2]) >= 0.5:
                 break
-        if abs(normal[2]) < 0.9:
-            e1 = np.cross(normal, [0.0, 0.0, 1.0])
-        else:
-            e1 = np.cross(normal, [1.0, 0.0, 0.0])
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(normal, e1)
+        e1, e2 = geometry._plane_basis(normal)
         a, b = rng.uniform(0.55, 0.95, 2) * half_cap
         quad = np.array(
             [
@@ -349,9 +344,8 @@ def generate(
     noisy_left = clean_left + spec.pixel_noise * rng.standard_normal(clean_left.shape)
     noisy_right = clean_right + spec.pixel_noise * rng.standard_normal(clean_right.shape)
 
-    w, h = rig.image_size
-    in_left = (noisy_left[:, 0] >= 0) & (noisy_left[:, 0] <= w) & (noisy_left[:, 1] >= 0) & (noisy_left[:, 1] <= h)
-    in_right = (noisy_right[:, 0] >= 0) & (noisy_right[:, 0] <= w) & (noisy_right[:, 1] >= 0) & (noisy_right[:, 1] <= h)
+    in_left = _in_fov(noisy_left, rig.image_size)
+    in_right = _in_fov(noisy_right, rig.image_size)
     positions, ok_tri = triangulate_many(noisy_left, noisy_right, rig)
     keep = ok_left & ok_right & in_left & in_right & ok_tri
     dropped = int(np.sum(~keep))

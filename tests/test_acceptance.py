@@ -29,8 +29,7 @@ from stereopatch.geometry import (
     update_fit_many,
 )
 from stereopatch.growing import Patch, PointState, accept
-from stereopatch.seeding import SeedConfig, SegmentPair, seed_patch
-from stereopatch.stereo import triangulate
+from stereopatch.seeding import SeedConfig, seed_patch, segment_to_pairs
 from stereopatch.synth import SceneSpec, coeff_ssd, default_rig, generate
 
 import oracles
@@ -58,9 +57,10 @@ def test_noiseless_seed_fit_recovery():
 
         start = time.perf_counter()
         state = PointState(len(cloud))
+        pairs = segment_to_pairs(segments, rig)
+        assert len(pairs) == len(segments), f"{preset}: a centroid pair failed to triangulate"
         patches = []
-        for pid, (left, right) in enumerate(segments):
-            pair = SegmentPair(left, right, triangulate(left.centroid, right.centroid, rig))
+        for pid, pair in enumerate(pairs):
             patch = seed_patch(pair, cloud, SeedConfig(), state, pid)
             assert isinstance(patch, Patch), f"{preset}: face {pid} failed to seed"
             patches.append(patch)

@@ -36,7 +36,6 @@ from stereopatch.stereo import (
     StereoRig,
     noise_model_offset,
     project_many,
-    triangulate,
     triangulate_many,
 )
 
@@ -96,7 +95,7 @@ def build_micro(n=1000, seed=0, half=0.5, depth=4.0, noise=0.001):
     pair = SegmentPair(
         circle_ellipse(pxl, size=size),
         circle_ellipse(pxr, view="right", size=size),
-        triangulate(pxl, pxr, rig),
+        triangulate_many(pxl, pxr, rig)[0][0],
     )
     state = PointState(len(cloud))
     cfg = GrowConfig(log_threshold=-15.0, boundary_weight=1e-7)
@@ -254,12 +253,7 @@ def build_seeded(preset="random-planes-4", points_per_face=150, seed=0):
     cloud, _, segments = synth.generate(spec, rig)
     cfg = pipeline.RunConfig().for_scene(spec.scene_id)
     pipeline.prepare(cloud, rig, seed=spec.seed)
-    pairs = segment_to_pairs(
-        [left for left, _ in segments],
-        [right for _, right in segments],
-        [(i, i) for i in range(len(segments))],
-        rig,
-    )
+    pairs = segment_to_pairs(segments, rig)
     patches, state, _ = seed_all(
         pairs,
         cloud,
@@ -274,23 +268,34 @@ def build_seeded(preset="random-planes-4", points_per_face=150, seed=0):
 def seeded():
     scene = build_seeded()
     assert len(scene.patches) >= 3
-    assert scene.state.rejected_by, "the scene should carry seed-pruned points"
+    assert any(len(p.pruned) for p in scene.patches), "the scene should carry seed-pruned points"
     return scene
+
+
+def test_seed_pruned_points_never_join_their_patch():
+    scene = build_seeded()
+    pruned = {p.id: set(p.pruned.tolist()) for p in scene.patches}
+    assert any(pruned.values())
+    for patch in scene.patches:
+        assert not pruned[patch.id] & set(patch.members)
+        assert np.all(scene.state.assigned_to[patch.pruned] != patch.id)
+    result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.state)
+    assert result.accepted > 0
+    for patch in result.patches:
+        assert not pruned[patch.id] & set(patch.members)
 
 
 def test_batch_classification_matches_single_calls(micro, seeded):
     rng = np.random.default_rng(55)
-    for scene, patches, state in (
-        (micro, [micro.patch], None),
-        (seeded, seeded.patches, seeded.state),
-    ):
+    for scene, patches in ((micro, [micro.patch]), (seeded, seeded.patches)):
         available = scene.state.available_indices()
         idx = rng.choice(available, size=40, replace=False)
-        barred = [i for i in scene.state.rejected_by if scene.state.assigned_to[i] < 0]
+        pruned = np.concatenate([p.pruned for p in patches])
+        barred = pruned[scene.state.assigned_to[pruned] < 0]
         idx = np.concatenate([idx, barred[:5]])
-        batch = classify_batch(patches, scene.cloud, idx, scene.cfg, scene.rig, state)
+        batch = classify_batch(patches, scene.cloud, idx, scene.cfg, scene.rig)
         singles = [
-            classify_batch(patches, scene.cloud, [i], scene.cfg, scene.rig, state)[0] for i in idx
+            classify_batch(patches, scene.cloud, [i], scene.cfg, scene.rig)[0] for i in idx
         ]
         assert batch == singles
         assert any(b is not None for b in batch)
@@ -499,14 +504,14 @@ def test_stacked_scorer_bars_rejected_points_and_ties_to_the_lower_id():
 
     centre_of_2 = scene.n_probes + 2
     assert np.argmax(free[centre_of_2]) == 2
-    state = PointState(n)
-    state.reject([centre_of_2], 2)
-    barred = PatchStack(scene.patches, cloud.positions, scene.rig, state).scores(rows)
+    patches = list(scene.patches)
+    patches[2] = replace(patches[2], pruned=np.array([centre_of_2]))
+    barred = PatchStack(patches, cloud.positions, scene.rig).scores(rows)
     assert barred[centre_of_2, 2] == -np.inf
     barred[centre_of_2, 2] = free[centre_of_2, 2]
     assert np.array_equal(barred, free)
 
-    got = classify_batch(scene.patches, cloud, rows, cfg, scene.rig, state)
+    got = classify_batch(patches, cloud, rows, cfg, scene.rig)
     others = free[centre_of_2].copy()
     others[2] = -np.inf
     assert got[centre_of_2] == scene.patches[int(np.argmax(others))].id
@@ -538,7 +543,7 @@ def test_refreshed_stack_equals_a_rebuilt_stack():
     patches = [replace(p, members=[]) for p in scene.patches]
     patches[0].members = [0, 1, 2]
     state.assign([0, 1, 2], 0)
-    stack = PatchStack(patches, cloud.positions, scene.rig, state)
+    stack = PatchStack(patches, cloud.positions, scene.rig)
     assert stack.hulls.capacity == 8
 
     accept(patches[0], cloud, state, np.arange(n - 12, n))
@@ -547,7 +552,7 @@ def test_refreshed_stack_equals_a_rebuilt_stack():
     stale = stack.scores(rows)
     stack.refresh(0)
     assert stack.hulls.capacity == 16
-    fresh = PatchStack(patches, cloud.positions, scene.rig, state)
+    fresh = PatchStack(patches, cloud.positions, scene.rig)
     assert np.array_equal(stack.scores(rows), fresh.scores(rows))
     assert not np.array_equal(stale, fresh.scores(rows))
 
@@ -557,11 +562,11 @@ def test_growth_keeps_its_stack_equal_to_a_fresh_one(monkeypatch):
     seen = []
     real = growing.classify_batch
 
-    def checked(patches, cloud, indices, cfg, rig, state=None, stack=None):
-        fresh = PatchStack(patches, cloud.positions, rig, state)
+    def checked(patches, cloud, indices, cfg, rig, stack=None):
+        fresh = PatchStack(patches, cloud.positions, rig)
         assert np.array_equal(stack.scores(indices), fresh.scores(indices))
         seen.append(stack.hulls.capacity)
-        return real(patches, cloud, indices, cfg, rig, state, stack)
+        return real(patches, cloud, indices, cfg, rig, stack)
 
     monkeypatch.setattr(growing, "classify_batch", checked)
     result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.state)
@@ -777,3 +782,18 @@ def test_batched_growth_matches_single_stepping():
         result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.state)
         outcomes.append(frozenset(result.patches[0].members))
     assert outcomes[0] == outcomes[1]
+
+
+def test_growth_stops_at_max_epochs_and_flags_truncation(caplog):
+    ref = build_micro(n=900, seed=12)
+    full = grow([ref.patch], ref.cloud, ref.cfg, ref.rig, ref.state)
+    assert not full.truncated and full.epochs > 1
+
+    scene = build_micro(n=900, seed=12)
+    cfg = replace(scene.cfg, max_epochs=1)
+    with caplog.at_level("WARNING", logger="stereopatch.growing"):
+        result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.state)
+    assert result.truncated
+    assert result.epochs == 1
+    assert 0 < result.accepted < full.accepted
+    assert "growth truncated after 1 epochs" in caplog.text

@@ -275,7 +275,7 @@ def test_patches_roundtrip(tmp_path, two_plane_run):
     )
     assert len(loaded.patches) == len(doc.patches)
     saved = sorted(doc.patches, key=lambda p: p.id)
-    probe = two_plane_run.cloud.positions[:1]
+    probe = two_plane_run.cloud.positions  # the saved patches' pruned points index the cloud
     saved_const = PatchStack(saved, probe, two_plane_run.rig).log_const
     loaded_const = PatchStack(loaded.patches, probe, two_plane_run.rig).log_const
     assert saved_const == pytest.approx(loaded_const, rel=1e-15)
@@ -362,6 +362,18 @@ def test_an_empty_config_extracts_like_no_config(tmp_path, capsys):
         '"grow": {"max_epochs": true}',
         '"refine": {"min_members": "10"}',
         '"refine": {"intensity_tol": Infinity}',
+        '"refine": {"intensity_tol": -1}',
+        '"refine": {"min_members": -5}',
+        '"refine": {"min_members": 0}',
+        '"refine": {"normal_dot_min": 2.0}',
+        '"refine": {"normal_dot_min": -0.5}',
+        '"refine": {"min_area": -1}',
+        '"refine": {"hull_dist_max": -1}',
+        '"grow": {"intensity_weight": -3}',
+        '"seed": {"inlier_residual": -1}',
+        '"seed": {"inlier_residual": 0}',
+        '"seed": {"radius": 0}',
+        '"seed": {"radius": -0.1}',
         '"presets": {"two-plane": {"grow": {"batch_size": 2.5}}}',
     ],
 )
@@ -661,19 +673,21 @@ def test_cli_sweep_noise_writes_csv(tmp_path, capsys):
 
 
 def test_cli_sweep_points_writes_csv(tmp_path, capsys):
-    out = tmp_path / "points.csv"
-    code, _, _ = run_cli(
-        capsys, "sweep", "--axis", "points", "--values", "2000,4000", "--out", out,
-    )
-    assert code == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["axis"] for r in rows] == ["points", "points"]
-    assert [int(r["value"]) for r in rows] == [2000, 4000]
-    for row in rows:
-        assert row["error"] == ""
-        assert float(row["seconds"]) > 0.0
-        assert int(row["patches"]) >= 1
+    # both runtime axes: total points on two-plane, and random-planes face counts
+    for axis, values in (("points", [2000, 4000]), ("patches", [2, 4])):
+        out = tmp_path / f"{axis}.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--axis", axis, "--values", ",".join(map(str, values)), "--out", out,
+        )
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["axis"] for r in rows] == [axis, axis]
+        assert [int(r["value"]) for r in rows] == values
+        for row in rows:
+            assert row["error"] == ""
+            assert float(row["seconds"]) > 0.0
+            assert int(row["patches"]) >= 1
 
 
 def test_cli_sweep_thresholds_writes_grid_csv(tmp_path, capsys):

@@ -32,13 +32,13 @@ def test_seed_triangulates_from_the_centroids(two_plane_scene):
     target = np.array([0.1, -0.2, 4.0])
     left = circle_ellipse(project_many(rig.camera_left, target)[0][0])
     right = circle_ellipse(project_many(rig.camera_right, target)[0][0], view="right")
-    pairs = segment_to_pairs([left], [right], [(0, 0)], rig)
+    pairs = segment_to_pairs([(left, right)], rig)
     assert len(pairs) == 1
     assert np.max(np.abs(pairs[0].seed - target)) <= 1e-8
 
 
 def test_empty_correspondence_gives_no_pairs(two_plane_scene):
-    assert segment_to_pairs([], [], [], two_plane_scene.rig) == []
+    assert segment_to_pairs([], two_plane_scene.rig) == []
 
 
 def test_degenerate_centroid_pair_is_dropped(two_plane_scene, caplog):
@@ -50,20 +50,15 @@ def test_degenerate_centroid_pair_is_dropped(two_plane_scene, caplog):
     bad = circle_ellipse(np.array([400.0, 300.0]))
     bad_r = circle_ellipse(np.array([400.0, 300.0]), view="right")
     with caplog.at_level("WARNING"):
-        pairs = segment_to_pairs(
-            [good_l, bad], [good_r, bad_r], [(0, 0), (1, 1)], rig
-        )
+        pairs = segment_to_pairs([(good_l, good_r), (bad, bad_r)], rig)
     assert len(pairs) == 1
     assert np.max(np.abs(pairs[0].seed - target)) <= 1e-8
+    assert "dropping segment pair 1: degenerate triangulation" in caplog.text
 
 
 def test_scene_segments_pair_onto_their_faces(two_plane_scene):
     scene = two_plane_scene
-    left = [pair[0] for pair in scene.segments]
-    right = [pair[1] for pair in scene.segments]
-    pairs = segment_to_pairs(
-        left, right, [(i, i) for i in range(len(left))], scene.rig
-    )
+    pairs = segment_to_pairs(scene.segments, scene.rig)
     assert len(pairs) == len(scene.gt.faces)
     radius = SeedConfig().resolve_radius(scene.cloud)
     for pair in pairs:
@@ -91,7 +86,7 @@ def test_rank_pairing_matches_by_area_order():
     big_r = EllipsePrior(np.array([12.0, 10.0]), np.array([8.5, 0.0, 9.5]), 0.5, "right")
     small_r = EllipsePrior(np.array([42.0, 10.0]), np.array([1.1, 0.0, 0.9]), 0.5, "right")
     matches = pair_segments_by_rank([small_l, big_l], [big_r, small_r])
-    assert (1, 0) in matches and (0, 1) in matches
+    assert matches == [(big_l, big_r), (small_l, small_r)]
 
 
 # -- fallback segmenter -------------------------------------------------------
@@ -143,11 +138,7 @@ def test_two_squares_become_two_segments():
 
 def test_noiseless_seed_recovers_the_plane(quiet_two_plane_scene):
     scene = quiet_two_plane_scene
-    left = [pair[0] for pair in scene.segments]
-    right = [pair[1] for pair in scene.segments]
-    pairs = segment_to_pairs(
-        left, right, [(i, i) for i in range(len(left))], scene.rig
-    )
+    pairs = segment_to_pairs(scene.segments, scene.rig)
     patches, state, rejections = seed_all(pairs, scene.cloud, SeedConfig())
     assert len(patches) == len(scene.gt.faces)
     assert not rejections
@@ -157,17 +148,15 @@ def test_noiseless_seed_recovers_the_plane(quiet_two_plane_scene):
             for coeffs in list(scene.gt.coeffs) + list(-scene.gt.coeffs)
         )
         assert ssd <= 1e-9
-    # No outliers on exact planes: nothing is marked rejected at seeding.
-    assert state.rejected_by == {}
+    # No outliers on exact planes: no seed prunes a point.
+    assert all(len(patch.pruned) == 0 for patch in patches)
 
 
 def test_low_noise_seed_planes_are_accurate():
     spec = synth.SceneSpec("chessboard", points_per_face=700, pixel_noise=0.001, seed=0)
     rig = synth.default_rig(spec.pixel_noise)
     cloud, gt, segments = synth.generate(spec, rig)
-    left = [pair[0] for pair in segments]
-    right = [pair[1] for pair in segments]
-    pairs = segment_to_pairs(left, right, [(i, i) for i in range(len(left))], rig)
+    pairs = segment_to_pairs(segments, rig)
     patches, state, rejections = seed_all(pairs, cloud, SeedConfig())
     assert len(patches) >= 6
     for patch in patches:
@@ -196,11 +185,7 @@ def test_seed_in_empty_space_is_sparse(two_plane_scene):
 
 def test_members_lie_inside_the_seed_sphere(two_plane_scene):
     scene = two_plane_scene
-    left = [pair[0] for pair in scene.segments]
-    right = [pair[1] for pair in scene.segments]
-    pairs = segment_to_pairs(
-        left, right, [(i, i) for i in range(len(left))], scene.rig
-    )
+    pairs = segment_to_pairs(scene.segments, scene.rig)
     cfg = SeedConfig()
     radius = cfg.resolve_radius(scene.cloud)
     patches, state, _ = seed_all(pairs, scene.cloud, cfg)
@@ -212,11 +197,7 @@ def test_members_lie_inside_the_seed_sphere(two_plane_scene):
 
 def test_point_states_are_mutually_exclusive(two_plane_scene):
     scene = two_plane_scene
-    left = [pair[0] for pair in scene.segments]
-    right = [pair[1] for pair in scene.segments]
-    pairs = segment_to_pairs(
-        left, right, [(i, i) for i in range(len(left))], scene.rig
-    )
+    pairs = segment_to_pairs(scene.segments, scene.rig)
     patches, state, _ = seed_all(pairs, scene.cloud, SeedConfig())
     for patch in patches:
         assigned = state.assigned_to[np.asarray(patch.members)]
@@ -227,11 +208,7 @@ def test_point_states_are_mutually_exclusive(two_plane_scene):
 
 def test_duplicate_seeds_collapse_to_one(two_plane_scene):
     scene = two_plane_scene
-    left = [pair[0] for pair in scene.segments]
-    right = [pair[1] for pair in scene.segments]
-    pairs = segment_to_pairs(
-        left, right, [(i, i) for i in range(len(left))], scene.rig
-    )
+    pairs = segment_to_pairs(scene.segments, scene.rig)
     doubled = [pairs[0], pairs[0], pairs[1]]
     patches, state, rejections = seed_all(doubled, scene.cloud, SeedConfig())
     assert len(patches) == 2

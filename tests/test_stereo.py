@@ -1,6 +1,7 @@
 """Projection, triangulation, reconstruction uncertainty, ellipse priors."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stereopatch.distributions import (
     gamma_mle,
     weibull_log_likelihood,
 )
+from stereopatch.growing import _image_prior
 from stereopatch.stereo import (
     EllipsePrior,
     PointCloud,
@@ -19,14 +21,18 @@ from stereopatch.stereo import (
     attach_penalty,
     attach_uncertainty,
     calibrate_noise_model,
-    ellipse_log_prior,
     noise_penalty,
     project_many,
-    triangulate,
     triangulate_many,
 )
 
 import oracles
+
+
+def triangulate_one(pixel_left, pixel_right, rig):
+    """One correspondence as a one-row ``triangulate_many`` batch: (point, ok)."""
+    pts, ok = triangulate_many(pixel_left, pixel_right, rig)
+    return pts[0], bool(ok[0])
 
 
 def plain_rig(baseline=0.5, focal=800.0, width=800, height=600, noise=0.001):
@@ -61,7 +67,8 @@ def test_projection_round_trip_in_pixels():
         p = np.array([rng.uniform(-1, 1), rng.uniform(-0.7, 0.7), rng.uniform(2, 12)])
         xl = project_many(rig.camera_left, p)[0][0]
         xr = project_many(rig.camera_right, p)[0][0]
-        back = triangulate(xl, xr, rig)
+        back, ok = triangulate_one(xl, xr, rig)
+        assert ok
         assert np.max(np.abs(project_many(rig.camera_left, back)[0][0] - xl)) <= 1e-8
         assert np.max(np.abs(project_many(rig.camera_right, back)[0][0] - xr)) <= 1e-8
 
@@ -99,7 +106,9 @@ def test_noiseless_consistency():
     p = np.array([1.0, 2.0, 10.0])
     xl = project_many(rig.camera_left, p)[0][0]
     xr = project_many(rig.camera_right, p)[0][0]
-    assert np.max(np.abs(triangulate(xl, xr, rig) - p)) <= 1e-8
+    got, ok = triangulate_one(xl, xr, rig)
+    assert ok
+    assert np.max(np.abs(got - p)) <= 1e-8
 
 
 def symmetric_rig(baseline=0.5, focal=800.0, width=800, height=600):
@@ -124,8 +133,9 @@ def test_mirror_symmetry_about_the_baseline_bisector():
         p = np.array([rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5), rng.uniform(2, 9)])
         xl = project_many(rig.camera_left, p)[0][0]
         xr = project_many(rig.camera_right, p)[0][0]
-        forward = triangulate(xl, xr, rig)
-        mirrored = triangulate(flip(xr), flip(xl), rig)
+        forward, ok_forward = triangulate_one(xl, xr, rig)
+        mirrored, ok_mirrored = triangulate_one(flip(xr), flip(xl), rig)
+        assert ok_forward and ok_mirrored
         assert mirrored[0] == pytest.approx(-forward[0], abs=1e-9)
         assert mirrored[1:] == pytest.approx(forward[1:], abs=1e-9)
 
@@ -137,7 +147,8 @@ def test_agrees_with_midpoint_method():
         p = np.array([rng.uniform(-1, 1), rng.uniform(-0.7, 0.7), rng.uniform(2, 12)])
         xl = project_many(rig.camera_left, p)[0][0]
         xr = project_many(rig.camera_right, p)[0][0]
-        got = triangulate(xl, xr, rig)
+        got, ok = triangulate_one(xl, xr, rig)
+        assert ok
         expect = oracles.midpoint_triangulate(xl, xr, rig.camera_left, rig.camera_right)
         assert np.max(np.abs(got - expect)) <= 1e-8
 
@@ -147,8 +158,9 @@ def test_parallel_rays_are_degenerate():
     # Identical pixels in both views cannot triangulate on a forward rig
     # whose cameras are displaced along X: rays from distinct centers through
     # matching pixels are parallel.
-    with pytest.raises(ValueError, match="degenerate triangulation"):
-        triangulate(np.array([400.0, 300.0]), np.array([400.0, 300.0]), rig)
+    pts, ok = triangulate_many(np.array([400.0, 300.0]), np.array([400.0, 300.0]), rig)
+    assert not ok[0]
+    assert np.array_equal(pts[0], np.zeros(3))
 
 
 # -- reconstruction uncertainty -----------------------------------------------
@@ -166,7 +178,7 @@ def one_point_cloud(rig, p):
     # builds points; zero-noise redraws are then bitwise reproductions.
     xl = project_many(rig.camera_left, p)[0][0]
     xr = project_many(rig.camera_right, p)[0][0]
-    return PointCloud(triangulate(xl, xr, rig), xl, xr)
+    return PointCloud(triangulate_one(xl, xr, rig)[0], xl, xr)
 
 
 def test_far_points_are_less_certain():
@@ -273,6 +285,27 @@ def test_penalty_matches_its_own_transform():
 # -- ellipse priors -----------------------------------------------------------
 
 
+def coincident_rig():
+    """Both views the camera [I|0]: the point (u, v, 1) lands on pixel (u, v) in each."""
+    camera = np.column_stack([np.eye(3), np.zeros(3)])
+    return StereoRig(camera, camera, 0.0, 0.0, (800, 600))
+
+
+def ellipse_log_prior(e, pixel):
+    """One view's Gaussian log density of ``pixel`` under ellipse ``e``.
+
+    Read off ``growing._image_prior`` on a rig whose two views coincide and
+    a pair whose two ellipses are both ``e``: its term plus the half log
+    moment product plus 2*log(2*pi) is then twice minus the one-view density.
+    """
+    pair = SimpleNamespace(ellipse_left=e, ellipse_right=e)
+    patch = SimpleNamespace(pair=pair, intensity_weight=1.0)
+    point = np.append(np.asarray(pixel, float), 1.0)
+    prior, half_log_moments, visible = _image_prior([patch], point[None, :], coincident_rig())
+    assert visible[0]
+    return -0.5 * (prior[0, 0] + half_log_moments[0] + 2.0 * math.log(2.0 * math.pi))
+
+
 def test_prior_peaks_at_centroid():
     e = EllipsePrior(np.array([10.0, 20.0]), np.array([4.0, 1.0, 3.0]), 0.5)
     at_centroid = ellipse_log_prior(e, np.array([10.0, 20.0]))
@@ -315,3 +348,31 @@ def test_prior_normalizes_over_the_plane():
         lambda x: 1.0 + 12.0,
     )
     assert mass == pytest.approx(1.0, abs=1e-4)
+
+def test_image_prior_matches_the_bivariate_normal_logpdf():
+    # growing._image_prior holds the one ellipse-prior formula: its term plus
+    # the half log moment product plus 2*log(2*pi) must be minus the summed
+    # Gaussian log densities of the point's pixels in both views.
+    from scipy.stats import multivariate_normal
+
+    spec = synth.SceneSpec("house", 60, 0.001, 0)
+    rig = synth.default_rig(spec.pixel_noise)
+    cloud, _, segments = synth.generate(spec, rig)
+    pairs = [SimpleNamespace(ellipse_left=el, ellipse_right=er) for el, er in segments]
+    patches = [SimpleNamespace(pair=pair, intensity_weight=1.0) for pair in pairs]
+    # every scene point, plus the seed of each pair, which projects onto both centroids
+    centroids_left = np.array([el.centroid for el, _ in segments])
+    centroids_right = np.array([er.centroid for _, er in segments])
+    seeds = triangulate_many(centroids_left, centroids_right, rig)[0]
+    points = np.vstack([cloud.positions, seeds])
+    prior, half_log_moments, visible = _image_prior(patches, points, rig)
+    assert visible.all()
+    pl = project_many(rig.camera_left, points)[0]
+    pr = project_many(rig.camera_right, points)[0]
+    for j, (el, er) in enumerate(segments):
+        expect = 0.0
+        for pixels, e in ((pl, el), (pr, er)):
+            xx, xy, yy = e.inertia
+            expect = expect + multivariate_normal(e.centroid, [[xx, xy], [xy, yy]]).logpdf(pixels)
+        got = prior[:, j] + half_log_moments[j] + 2.0 * math.log(2.0 * math.pi)
+        assert got == pytest.approx(-expect, rel=1e-12)
