@@ -57,7 +57,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     scene_id = scene_id or cam_scene or seg_scene or ""
     cfg = _load_run_config(args.config).for_scene(scene_id)
 
-    result = pipeline.run_pipeline(cloud, rig, segments, cfg, args.seed)
+    result = pipeline.run_pipeline(cloud, rig, segments, cfg)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,7 +226,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     cloud, _, cloud_scene = io.load_cloud(args.cloud)
     rig, cam_scene = io.load_cameras(args.cameras)
     _check_same_scene(cloud_scene, cam_scene)
-    attach_uncertainty(cloud, rig, seed=args.seed)
+    attach_uncertainty(cloud, rig)
     model = calibrate_noise_model(cloud, rig)
     io.save_cameras(args.out, rig, cam_scene or cloud_scene)
     print(f"noise model: shape={model.shape!r} scale={model.scale!r} -> {args.out}")
@@ -241,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="seed for every stochastic step")
+        seed_help = "seed of scene generation for synth and sweep; no effect on extract or calibrate"
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("-v", "--verbose", action="count", default=0)
 
     p = sub.add_parser("extract", help="run the full extraction pipeline on files")

@@ -213,7 +213,9 @@ class PatchStack:
 
     It is built over a fixed point set, the cloud's positions: each patch's
     seed-pruned points (``Patch.pruned``) are cloud indices, and each bars
-    its row for that patch alone.  Patches without pruned points (hand-built,
+    its row for that patch alone.  So a stack holding seeded patches needs
+    the cloud's rows, and a pruned index outside the stacked rows raises
+    ValueError naming its patch.  Patches without pruned points (hand-built,
     loaded or merged ones) may be scored over any points.  The image prior,
     the two-camera visibility and the pruned mask are evaluated once for all
     of the points, since growth does not change them.  Hulls, weights, Gamma
@@ -229,6 +231,10 @@ class PatchStack:
         self.prior, self.half_log_moments, visible = _image_prior(self.patches, self.positions, rig)
         self.blocked = np.repeat(~visible[:, None], len(self.patches), axis=1)
         for j, patch in enumerate(self.patches):
+            if np.any((patch.pruned < 0) | (patch.pruned >= len(self.positions))):
+                raise ValueError(
+                    f"patch {patch.id} bars cloud points outside the {len(self.positions)} stacked rows"
+                )
             self.blocked[patch.pruned, j] = True
         self._column = {p.id: j for j, p in enumerate(self.patches)}
         n = len(self.patches)

@@ -92,16 +92,16 @@ class PipelineResult:
     seed_rejections: list[SeedRejection]
 
 
-def prepare(cloud: PointCloud, rig: StereoRig, seed: int = 0) -> None:
+def prepare(cloud: PointCloud, rig: StereoRig) -> None:
     """Attach uncertainty and penalties, calibrating the noise model if needed.
 
     Idempotent: already-attached arrays and an already-calibrated model are
-    kept, so repeated runs on a shared cloud skip the Monte-Carlo pass.  When
+    kept, so repeated runs on a shared cloud skip the uncertainty pass.  When
     calibration cannot proceed (too few finite samples, or a degenerate
     sample under zero pixel noise) a unit Weibull model is used instead.
     """
     if cloud.uncertainty is None:
-        attach_uncertainty(cloud, rig, seed=seed)
+        attach_uncertainty(cloud, rig)
     if rig.noise_model is None:
         try:
             calibrate_noise_model(cloud, rig)
@@ -117,7 +117,6 @@ def run_pipeline(
     rig: StereoRig,
     segments: list[tuple[EllipsePrior, EllipsePrior]],
     cfg: RunConfig | None = None,
-    seed: int = 0,
 ) -> PipelineResult:
     """Full extraction: prepare, seed, grow, refine, then verify invariants."""
     if cfg is None:
@@ -127,7 +126,7 @@ def run_pipeline(
     if not segments:
         raise PipelineError("no segment pairs")
 
-    prepare(cloud, rig, seed)
+    prepare(cloud, rig)
 
     pairs = segment_to_pairs(segments, rig)
     if not pairs:
@@ -220,7 +219,7 @@ def sweep_noise(
         run_cfg = (cfg or RunConfig()).for_scene(spec.scene_id)
         try:
             cloud, gt, segments = synth.generate(spec, rig)
-            result = run_pipeline(cloud, rig, segments, run_cfg, seed)
+            result = run_pipeline(cloud, rig, segments, run_cfg)
             row = _metric_row(gt, result)
         except (ValueError, PipelineError) as exc:
             row = _failed_row(exc)
@@ -246,7 +245,7 @@ def sweep_thresholds(
     spec = synth.SceneSpec(preset, points_per_face, pixel_noise, seed)
     rig = synth.default_rig(spec.pixel_noise)
     cloud, gt, segments = synth.generate(spec, rig)
-    prepare(cloud, rig, seed)
+    prepare(cloud, rig)
     base = (cfg or RunConfig()).for_scene(spec.scene_id)
 
     rows = []
@@ -256,7 +255,7 @@ def sweep_thresholds(
                 base, {"grow": {"log_threshold": float(log_tau), "boundary_weight": float(weight)}}
             )
             try:
-                result = run_pipeline(cloud, rig, segments, cell, seed)
+                result = run_pipeline(cloud, rig, segments, cell)
                 row = _metric_row(gt, result)
             except (ValueError, PipelineError) as exc:
                 row = _failed_row(exc)

@@ -2,9 +2,10 @@
 
 Triangulation is the standard homogeneous DLT: two rows per view of the 4x4
 design matrix, solved by the right singular vector of the smallest singular
-value.  The reconstruction uncertainty of a point is the Monte-Carlo mean of
-its squared 3D displacement under pixel-noise re-triangulation, and the pool
-of those values over a scene is what the Weibull noise model is fitted to.
+value.  The reconstruction uncertainty of a point is the first-order variance
+of its triangulation under pixel noise, propagated through the DLT by central
+differences, and the pool of those values over a scene is what the Weibull
+noise model is fitted to.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ logger = logging.getLogger(__name__)
 _W_EPS = 1e-12            # homogeneous scale considered "at infinity"
 _COND_MAX = 1e12          # design-matrix condition limit for triangulation
 _DIST_CLAMP = 1e-12       # floor applied to squared distances entering logs
+_JACOBIAN_STEP = 1e-3     # pixel step of the central differences in attach_uncertainty
 
 
 @dataclass
@@ -149,47 +151,32 @@ def _in_fov(pixels: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
     return (px[:, 0] >= 0) & (px[:, 0] <= w) & (px[:, 1] >= 0) & (px[:, 1] <= h)
 
 
-def _noise_draws(seed: int, index: int, trials: int) -> np.ndarray:
-    """Per-point unit-normal pixel perturbations, order-independent by index."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
-    return rng.normal(size=(trials, 4))
-
-
-def attach_uncertainty(
-    cloud: PointCloud, rig: StereoRig, trials: int = 20, seed: int = 0
-) -> np.ndarray:
+def attach_uncertainty(cloud: PointCloud, rig: StereoRig) -> np.ndarray:
     """Reconstruction uncertainty of every cloud point, stored on the cloud.
 
-    A point's uncertainty is the Monte-Carlo mean squared 3D displacement of
-    its re-triangulations under ``trials`` pixel-noise draws, seeded by
-    (``seed``, point index).  Points whose own pixels fall outside either
-    image get +inf (they cannot carry a correspondence), and so do unstable
-    points, where more than half the draws triangulate degenerately (with a
-    logged warning), so one bad correspondence cannot abort a pipeline run.
+    The first-order variance of the point's triangulation under independent
+    pixel noise (Hartley & Zisserman, *Multiple View Geometry*, 2nd ed.,
+    ch. 5): the sum over both views of sigma^2 * ||dX/d(u, v)||_F^2, with the
+    Jacobian from central differences of ``_JACOBIAN_STEP`` px through
+    ``triangulate_many`` (eight solves).  Only the pixels enter it; the stored
+    position, and its gap to the triangulation of those pixels, do not.  Zero
+    pixel noise gives exactly 0.  Points whose pixels leave either image get
+    +inf, and so do unstable points, any of whose eight solves is degenerate
+    (with a logged warning), so one bad correspondence cannot abort a run.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     n = len(cloud)
-    out = np.full(n, np.inf)
-    if n == 0:
-        cloud.uncertainty = out
-        return out
-    noise = np.stack([_noise_draws(seed, i, trials) for i in range(n)])
-    pl = cloud.pixels_left[:, None, :] + noise[:, :, 0:2] * rig.pixel_noise_left
-    pr = cloud.pixels_right[:, None, :] + noise[:, :, 2:4] * rig.pixel_noise_right
-    pts, ok = triangulate_many(pl.reshape(-1, 2), pr.reshape(-1, 2), rig)
-    pts = pts.reshape(n, trials, 3)
-    ok = ok.reshape(n, trials)
-    diff = pts - cloud.positions[:, None, :]
-    sq = np.sum(diff * diff, axis=2)
-    valid_counts = ok.sum(axis=1)
-    stable = valid_counts * 2 > trials
-    sq_masked = np.where(ok, sq, 0.0)
-    with np.errstate(invalid="ignore"):
-        means = sq_masked.sum(axis=1) / np.where(valid_counts > 0, valid_counts, 1)
+    steps = np.concatenate((np.eye(4), -np.eye(4))) * _JACOBIAN_STEP
+    pixels = np.concatenate((cloud.pixels_left, cloud.pixels_right), axis=1)
+    shifted = (pixels[:, None, :] + steps).reshape(-1, 4)
+    pts, ok = triangulate_many(shifted[:, 0:2], shifted[:, 2:4], rig)
+    pts = pts.reshape(n, 2, 4, 3)
+    jac = (pts[:, 0] - pts[:, 1]) / (2.0 * _JACOBIAN_STEP)
+    sq = np.sum(jac * jac, axis=2)
+    sigma2 = np.repeat([rig.pixel_noise_left**2, rig.pixel_noise_right**2], 2)
+    variance = np.sum(sq * sigma2, axis=1)
+    stable = ok.reshape(n, 8).all(axis=1)
     fov = _in_fov(cloud.pixels_left, rig.image_size) & _in_fov(cloud.pixels_right, rig.image_size)
-    good = stable & fov
-    out[good] = means[good]
+    out = np.where(stable & fov, variance, np.inf)
     n_unstable = int(np.count_nonzero(fov & ~stable))
     if n_unstable:
         logger.warning("%d unstable points marked with infinite uncertainty", n_unstable)

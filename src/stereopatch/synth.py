@@ -496,7 +496,7 @@ def runtime_probe(
         cfg = pl.RunConfig().for_scene(spec.scene_id)
         start = time.perf_counter()
         try:
-            result = pl.run_pipeline(cloud, rig, segments, cfg, seed=spec.seed)
+            result = pl.run_pipeline(cloud, rig, segments, cfg)
             row["patches"] = len(result.patches)
         except (ValueError, pl.PipelineError) as exc:
             row["error"] = str(exc)

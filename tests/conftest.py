@@ -60,9 +60,7 @@ def _build_scene(preset, points_per_face=1000, pixel_noise=0.001, seed=0):
 def _run(scene):
     cfg = pipeline.RunConfig().for_scene(scene.spec.scene_id)
     start = time.perf_counter()
-    result = pipeline.run_pipeline(
-        scene.cloud, scene.rig, scene.segments, cfg, seed=scene.spec.seed
-    )
+    result = pipeline.run_pipeline(scene.cloud, scene.rig, scene.segments, cfg)
     seconds = time.perf_counter() - start
     return SimpleNamespace(
         **vars(scene), cfg=cfg, result=result, seconds=seconds

@@ -84,7 +84,7 @@ def build_micro(n=1000, seed=0, half=0.5, depth=4.0, noise=0.001):
     positions, ok = triangulate_many(pl, pr, rig)
     keep = ok_l & ok_r & ok
     cloud = PointCloud(positions[keep], pl[keep], pr[keep])
-    pipeline.prepare(cloud, rig, seed=seed)
+    pipeline.prepare(cloud, rig)
 
     center = np.array([0.0, 0.0, depth])
     pxl = project_many(rig.camera_left, center)[0][0]
@@ -252,7 +252,7 @@ def build_seeded(preset="random-planes-4", points_per_face=150, seed=0):
     rig = synth.default_rig(spec.pixel_noise)
     cloud, _, segments = synth.generate(spec, rig)
     cfg = pipeline.RunConfig().for_scene(spec.scene_id)
-    pipeline.prepare(cloud, rig, seed=spec.seed)
+    pipeline.prepare(cloud, rig)
     pairs = segment_to_pairs(segments, rig)
     patches, state, _ = seed_all(
         pairs,
@@ -283,6 +283,15 @@ def test_seed_pruned_points_never_join_their_patch():
     assert result.accepted > 0
     for patch in result.patches:
         assert not pruned[patch.id] & set(patch.members)
+
+
+def test_a_stack_over_fewer_rows_than_a_seeded_patch_bars_names_the_patch(seeded):
+    patch = next(p for p in seeded.patches if len(p.pruned))
+    with pytest.raises(ValueError, match=f"patch {patch.id} bars cloud points outside the 1 stacked rows"):
+        PatchStack([patch], seeded.cloud.positions[:1], seeded.rig)
+    # over the cloud's rows the same patch stacks, with its pruned rows barred
+    stack = PatchStack([patch], seeded.cloud.positions, seeded.rig)
+    assert np.all(stack.blocked[patch.pruned, 0])
 
 
 def test_batch_classification_matches_single_calls(micro, seeded):

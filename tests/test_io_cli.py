@@ -598,6 +598,25 @@ def test_cli_extract_runs_and_reruns_identically(tmp_path, capsys):
     assert float(row[4]) <= 0.1
 
 
+def test_cli_extract_output_does_not_depend_on_the_seed(tmp_path, capsys):
+    # --seed seeds scene generation only; on this scene a seeded uncertainty
+    # estimate would move the last digits of the plane fits in patches.json
+    scene = synth_dir(tmp_path, "scene", "--points-per-face", "500")
+    outs = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"seed{seed}"
+        code, _, _ = run_cli(
+            capsys, "extract", "--cloud", scene / "cloud.ply",
+            "--cameras", scene / "cameras.json",
+            "--segments", scene / "segments.json",
+            "--out-dir", out, "--seed", seed,
+        )
+        assert code == 0
+        outs.append(out)
+    for name in ("patches.json", "labeled.ply", "report.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_cli_extract_rejects_empty_cloud(tmp_path, capsys):
     scene = synth_dir(tmp_path, "scene", "--points-per-face", "50")
     capsys.readouterr()
