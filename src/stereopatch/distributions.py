@@ -1,4 +1,4 @@
-"""Gamma and Weibull log-densities and maximum-likelihood fits.
+"""Gamma and Weibull maximum-likelihood fits, Weibull log-density, Gamma sums.
 
 The Gamma shape estimate uses the closed-form approximation
 shape = (3 - phi + sqrt((phi - 3)^2 + 24*phi)) / (12*phi) with
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 @dataclass(frozen=True)
@@ -36,19 +35,6 @@ class WeibullParams:
             raise ValueError("weibull parameters must be finite")
         if self.shape <= 0 or self.scale <= 0:
             raise ValueError("weibull parameters must be positive")
-
-
-def gamma_log_pdf(d, params: GammaParams):
-    """Log density (shape-1)*log(d/scale) - d/scale - log(scale*Gamma(shape)).
-
-    ``d`` must be strictly positive (scalar or array).
-    """
-    x = np.asarray(d, float)
-    if np.any(x <= 0) or np.any(~np.isfinite(x)):
-        raise ValueError("non-positive distance")
-    t = x / params.scale
-    out = (params.shape - 1.0) * np.log(t) - t - np.log(params.scale) - gammaln(params.shape)
-    return float(out) if np.isscalar(d) else out
 
 
 def gamma_sum_approx(first: GammaParams, second: GammaParams, weight: float) -> GammaParams:
@@ -153,11 +139,3 @@ def weibull_fit(samples, max_iter: int = 100, tol: float = 1e-10) -> WeibullPara
     lam = top * float(np.mean(xs**k)) ** (1.0 / k)
     return WeibullParams(float(k), lam)
 
-
-def weibull_log_likelihood(samples, params: WeibullParams) -> float:
-    """Total log-likelihood of the samples under the given parameters."""
-    return float(np.sum(weibull_log_pdf(np.asarray(samples, float), params)))
-
-
-def gamma_log_likelihood(samples, params: GammaParams) -> float:
-    return float(np.sum(gamma_log_pdf(np.asarray(samples, float), params)))

@@ -68,8 +68,8 @@ class GrowConfig:
     refreshed; ``batch_size`` = 1 refreshes them after every point.
     """
 
-    log_threshold: float = -20.0
-    boundary_weight: float = 1.0
+    log_threshold: float = -15.0
+    boundary_weight: float = 1e-7
     intensity_weight: float = 1.0
     batch_size: int = 32
     max_epochs: int = 60

@@ -30,25 +30,19 @@ class PipelineError(RuntimeError):
 
 
 def default_presets() -> dict:
-    """Tuned growth thresholds for the bundled synthetic scenes.
+    """Boundary weights of the bundled synthetic scenes that differ from the default.
 
-    The acceptance level and the boundary weight are dataset tunables: the
-    workable boundary weight scales with the ratio of the residual noise to
-    the point spacing, both of which differ per scene.  These blocks hold
-    values from the stable low-error plateau of each bundled preset at the
-    default sampling density and pixel noise; the threshold sweep command
-    recovers the surrounding landscape when a scene deviates from that.
-    The chessboard needs a much larger boundary weight than the others:
-    its faces are coplanar, so the hull term is the only thing stopping a
-    patch from swallowing the neighbouring cells.
+    ``GrowConfig``'s defaults (acceptance level -15, boundary weight 1e-7)
+    sit on the low-error plateau of two-plane, path, indoors and house at
+    the default density and pixel noise, so they, and scenes without a
+    preset name, need no block.  The workable boundary weight scales with
+    the ratio of the residual noise to the point spacing: random-planes
+    needs 1e-6, and the chessboard 1e-4, as its faces are coplanar and the
+    hull term alone stops a patch from swallowing the neighbouring cells.
     """
     return {
-        "two-plane": {"grow": {"log_threshold": -15.0, "boundary_weight": 1e-7}},
-        "path": {"grow": {"log_threshold": -15.0, "boundary_weight": 1e-7}},
-        "chessboard": {"grow": {"log_threshold": -15.0, "boundary_weight": 1e-4}},
-        "indoors": {"grow": {"log_threshold": -15.0, "boundary_weight": 1e-7}},
-        "house": {"grow": {"log_threshold": -15.0, "boundary_weight": 1e-7}},
-        "random-planes": {"grow": {"log_threshold": -15.0, "boundary_weight": 1e-6}},
+        "chessboard": {"grow": {"boundary_weight": 1e-4}},
+        "random-planes": {"grow": {"boundary_weight": 1e-6}},
     }
 
 

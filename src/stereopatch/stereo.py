@@ -3,9 +3,9 @@
 Triangulation is the standard homogeneous DLT: two rows per view of the 4x4
 design matrix, solved by the right singular vector of the smallest singular
 value.  The reconstruction uncertainty of a point is the first-order variance
-of its triangulation under pixel noise, propagated through the DLT by central
-differences, and the pool of those values over a scene is what the Weibull
-noise model is fitted to.
+of its triangulation under pixel noise, read in closed form off the SVD of its
+one DLT solve (``_dlt``, shared with ``triangulate_many``), and the pool of
+those values over a scene is what the Weibull noise model is fitted to.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ logger = logging.getLogger(__name__)
 _W_EPS = 1e-12            # homogeneous scale considered "at infinity"
 _COND_MAX = 1e12          # design-matrix condition limit for triangulation
 _DIST_CLAMP = 1e-12       # floor applied to squared distances entering logs
-_JACOBIAN_STEP = 1e-3     # pixel step of the central differences in attach_uncertainty
 
 
 @dataclass
@@ -85,10 +84,10 @@ def _design_rows(pixels: np.ndarray, camera: np.ndarray) -> np.ndarray:
     return rows
 
 
-def triangulate_many(
+def _dlt(
     pixels_left: np.ndarray, pixels_right: np.ndarray, rig: StereoRig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch DLT.  Returns (points (n,3), ok mask); bad rows are left as zeros.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """SVD of every row's 4x4 DLT design matrix, solved by ``vt[:, 3]``: (u, s, vt, ok).
 
     A row is bad (``ok`` False) when its design matrix is ill-conditioned
     (near-parallel rays) or its solution lands at infinity.  Each row is its
@@ -99,17 +98,25 @@ def triangulate_many(
     a = np.concatenate(
         (_design_rows(pl, rig.camera_left), _design_rows(pr, rig.camera_right)), axis=1
     )
-    _, s, vt = np.linalg.svd(a)
+    u, s, vt = np.linalg.svd(a)
     x = vt[:, -1, :]
     # rank must be 3 for a unique ray intersection; s[2] ~ 0 means the rays
     # are (near-)parallel and the nullspace is not one-dimensional
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = s[:, 0] / s[:, 2]
-    w = x[:, 3]
-    ok = (cond <= _COND_MAX) & (np.abs(w) >= _W_EPS * np.linalg.norm(x, axis=1))
-    pts = np.zeros((len(pl), 3))
+    ok = (cond <= _COND_MAX) & (np.abs(x[:, 3]) >= _W_EPS * np.linalg.norm(x, axis=1))
+    return u, s, vt, ok
+
+
+def triangulate_many(
+    pixels_left: np.ndarray, pixels_right: np.ndarray, rig: StereoRig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch DLT.  Returns (points (n,3), ``_dlt``'s ok mask); bad rows are left as zeros."""
+    _, _, vt, ok = _dlt(pixels_left, pixels_right, rig)
+    x = vt[:, -1, :]
+    pts = np.zeros((len(x), 3))
     if np.any(ok):
-        pts[ok] = x[ok, :3] / w[ok, None]
+        pts[ok] = x[ok, :3] / x[ok, 3, None]
     return pts, ok
 
 
@@ -156,25 +163,30 @@ def attach_uncertainty(cloud: PointCloud, rig: StereoRig) -> np.ndarray:
 
     The first-order variance of the point's triangulation under independent
     pixel noise (Hartley & Zisserman, *Multiple View Geometry*, 2nd ed.,
-    ch. 5): the sum over both views of sigma^2 * ||dX/d(u, v)||_F^2, with the
-    Jacobian from central differences of ``_JACOBIAN_STEP`` px through
-    ``triangulate_many`` (eight solves).  Only the pixels enter it; the stored
-    position, and its gap to the triangulation of those pixels, do not.  Zero
-    pixel noise gives exactly 0.  Points whose pixels leave either image get
-    +inf, and so do unstable points, any of whose eight solves is degenerate
-    (with a logged warning), so one bad correspondence cannot abort a run.
+    ch. 5): the sum over both views of sigma^2 * ||dX/d(u, v)||_F^2.  Pixel
+    coordinate r moves row r of the point's DLT matrix A = U S V^T along P3 of
+    its view, so the Jacobian is read off that one SVD by first-order
+    singular-vector perturbation (Papadopoulo & Lourakis, ECCV 2000):
+    dv3/dp_r = sum_{k<3} v_k (s3 U[r,3] v_k.P3 + s_k U[r,k] v3.P3) / (s3^2 - s_k^2).
+    Only the pixels enter it, not the stored position.  Zero pixel noise gives
+    exactly 0.  Points whose pixels leave either image get +inf, and so do
+    unstable points, whose solve fails ``triangulate_many``'s rule or whose
+    variance is not finite (with a logged warning), so one bad correspondence
+    cannot abort a run.
     """
-    n = len(cloud)
-    steps = np.concatenate((np.eye(4), -np.eye(4))) * _JACOBIAN_STEP
-    pixels = np.concatenate((cloud.pixels_left, cloud.pixels_right), axis=1)
-    shifted = (pixels[:, None, :] + steps).reshape(-1, 4)
-    pts, ok = triangulate_many(shifted[:, 0:2], shifted[:, 2:4], rig)
-    pts = pts.reshape(n, 2, 4, 3)
-    jac = (pts[:, 0] - pts[:, 1]) / (2.0 * _JACOBIAN_STEP)
-    sq = np.sum(jac * jac, axis=2)
+    u, s, vt, ok = _dlt(cloud.pixels_left, cloud.pixels_right, rig)
+    # P3 of the view each pixel coordinate (u_l, v_l, u_r, v_r) belongs to
+    p3 = np.repeat([rig.camera_left[2], rig.camera_right[2]], 2, axis=0)
+    vp = np.einsum("nkc,rc->nkr", vt, p3)  # v_k . P3_r
+    ut, sk = np.swapaxes(u, 1, 2), s[:, :, None]  # ut[:, k, r] = U[r, k]
+    x = vt[:, None, 3]  # the solution v3, X = x[:3] / x[3]
     sigma2 = np.repeat([rig.pixel_noise_left**2, rig.pixel_noise_right**2], 2)
-    variance = np.sum(sq * sigma2, axis=1)
-    stable = ok.reshape(n, 8).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        num = sk[:, 3:] * ut[:, 3:] * vp[:, :3] + sk[:, :3] * ut[:, :3] * vp[:, 3:]
+        dx = np.einsum("nkr,nkc->nrc", num / (sk[:, 3:] ** 2 - sk[:, :3] ** 2), vt[:, :3])
+        jac = (dx[..., :3] - x[..., :3] / x[..., 3:] * dx[..., 3:]) / x[..., 3:]  # dX/dp_r
+        variance = np.einsum("nrc,nrc,r->n", jac, jac, sigma2)
+    stable = ok & np.isfinite(variance)
     fov = _in_fov(cloud.pixels_left, rig.image_size) & _in_fov(cloud.pixels_right, rig.image_size)
     out = np.where(stable & fov, variance, np.inf)
     n_unstable = int(np.count_nonzero(fov & ~stable))

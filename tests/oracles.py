@@ -236,31 +236,57 @@ def midpoint_triangulate(pixel_left, pixel_right, p_left, p_right):
     return 0.5 * ((c1 + t * d1) + (c2 + s * d2))
 
 
+def dlt_points(pixels_left, pixels_right, p_left, p_right):
+    """Linear triangulation written out from the camera rows.
+
+    The right singular vector of the smallest singular value of the stacked
+    x*P3 - P1, y*P3 - P2 rows of both views, for pixel arrays of any
+    leading shape (..., 2).
+    """
+    rows = []
+    for P, px in ((np.asarray(p_left, dtype=float), pixels_left),
+                  (np.asarray(p_right, dtype=float), pixels_right)):
+        rows.append(px[..., 0:1] * P[2] - P[0])
+        rows.append(px[..., 1:2] * P[2] - P[1])
+    design = np.stack(rows, axis=-2)  # (..., 4, 4)
+    null = np.linalg.svd(design)[2][..., -1, :]
+    return null[..., :3] / null[..., 3:4]
+
+
 def montecarlo_uncertainty(positions, pixels_left, pixels_right, p_left, p_right, sigmas,
                            trials=4000, seed=0):
     """Mean squared 3D displacement from ``positions`` under pixel noise.
 
     Each trial adds N(0, sigma^2) noise to the four pixel coordinates of
-    every point (``sigmas`` = (left, right)) and re-triangulates by the
-    linear method, written out here from the camera rows: the right
-    singular vector of the smallest singular value of the stacked
-    x*P3 - P1, y*P3 - P2 rows of both views.  Sampling replaces the
-    package's differentiation.
+    every point (``sigmas`` = (left, right)) and re-triangulates by
+    ``dlt_points``.  Sampling replaces the package's differentiation.
     """
     rng = np.random.default_rng(seed)
     n = len(positions)
     noise = rng.normal(size=(n, trials, 4)) * np.repeat(sigmas, 2)
     left = np.asarray(pixels_left, dtype=float)[:, None, :] + noise[..., 0:2]
     right = np.asarray(pixels_right, dtype=float)[:, None, :] + noise[..., 2:4]
-    rows = []
-    for P, px in ((np.asarray(p_left, dtype=float), left), (np.asarray(p_right, dtype=float), right)):
-        rows.append(px[..., 0:1] * P[2] - P[0])
-        rows.append(px[..., 1:2] * P[2] - P[1])
-    design = np.stack(rows, axis=-2)  # (n, trials, 4, 4)
-    null = np.linalg.svd(design)[2][..., -1, :]
-    points = null[..., :3] / null[..., 3:4]
+    points = dlt_points(left, right, p_left, p_right)
     diff = points - np.asarray(positions, dtype=float)[:, None, :]
     return np.mean(np.sum(diff * diff, axis=-1), axis=1)
+
+
+def central_difference_uncertainty(pixels_left, pixels_right, p_left, p_right, sigmas,
+                                   step=1e-3):
+    """First-order triangulation variance by central differences.
+
+    Shifts each of the four pixel coordinates by +-``step`` px, re-triangulates
+    by ``dlt_points`` and sums sigma^2 * ||dX/dp||^2 over the coordinates
+    (``sigmas`` = (left, right)).  Finite differences replace the package's
+    closed-form SVD perturbation.
+    """
+    pixels = np.concatenate(
+        (np.asarray(pixels_left, dtype=float), np.asarray(pixels_right, dtype=float)), axis=1
+    )
+    shifted = pixels[:, None, None, :] + np.stack((np.eye(4), -np.eye(4)))[None] * step
+    points = dlt_points(shifted[..., 0:2], shifted[..., 2:4], p_left, p_right)
+    jac = (points[:, 0] - points[:, 1]) / (2.0 * step)  # (n, 4, 3)
+    return np.sum(jac * jac, axis=2) @ np.repeat(np.asarray(sigmas, dtype=float) ** 2, 2)
 
 
 # -- polygons and ellipses ---------------------------------------------------

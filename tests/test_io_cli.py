@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stereopatch import cli, io
+from stereopatch import cli, io, pipeline
 from stereopatch.distributions import GammaParams, WeibullParams
 from stereopatch.geometry import build_hull, choose_plane_form, fit_plane
 from stereopatch.growing import Patch, PatchStack
@@ -334,6 +334,18 @@ def test_load_config_applies_blocks(tmp_path):
     path.write_text('{"format_version": 99, "kind": "config"}')
     with pytest.raises(io.InputError, match="format_version"):
         io.load_config(path)
+
+
+def test_a_scene_without_a_preset_name_runs_at_the_tuned_defaults(two_plane_run):
+    # A scene loaded from files without a scene id matches no preset block,
+    # so it runs at RunConfig's defaults; on two-plane they are its tuned values.
+    scene = two_plane_run
+    result = pipeline.run_pipeline(scene.cloud, scene.rig, scene.segments)
+    assert len(result.patches) == len(scene.result.patches)
+    for a, b in zip(result.patches, scene.result.patches):
+        assert a.members == b.members
+        assert a.plane.form == b.plane.form
+        assert np.array_equal(a.plane.coeffs, b.plane.coeffs)
 
 
 def test_an_empty_config_extracts_like_no_config(tmp_path, capsys):

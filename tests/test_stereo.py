@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from stereopatch import stereo, synth
-from stereopatch.distributions import (
-    WeibullParams,
-    gamma_log_likelihood,
-    gamma_mle,
-    weibull_log_likelihood,
-)
+from stereopatch.distributions import WeibullParams, gamma_mle, weibull_log_pdf
 from stereopatch.growing import _image_prior
 from stereopatch.stereo import (
     EllipsePrior,
@@ -197,7 +192,7 @@ def test_doubling_noise_does_not_shrink_uncertainty():
     lo = attach_uncertainty(one_point_cloud(lo_rig, p), lo_rig)[0]
     hi = attach_uncertainty(one_point_cloud(hi_rig, p), hi_rig)[0]
     # The pixel noise enters the first-order variance only as sigma^2.
-    assert hi == pytest.approx(4.0 * lo, rel=1e-12)
+    assert hi == pytest.approx(4.0 * lo, rel=1e-12, abs=0)
 
 
 def test_uncertainty_golden_value():
@@ -210,7 +205,27 @@ def test_uncertainty_golden_value():
     rig = plain_rig(baseline=0.5, noise=0.001)
     cloud = one_point_cloud(rig, np.array([0.0, 0.0, 5.0]))
     value = attach_uncertainty(cloud, rig)[0]
-    assert value == pytest.approx(7.87109375e-09, rel=1e-9)
+    assert value == pytest.approx(7.87109375e-09, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("sigma", [0.001, 0.5])
+def test_uncertainty_matches_central_differences(sigma):
+    rig = synth.default_rig(sigma)
+    scene, _, _ = synth.generate(synth.SceneSpec("two-plane", 1000, sigma, 0), rig)
+    rows = np.arange(0, len(scene), 50)
+    cloud = PointCloud(
+        scene.positions[rows], scene.pixels_left[rows], scene.pixels_right[rows]
+    )
+    closed_form = attach_uncertainty(cloud, rig)
+    reference = oracles.central_difference_uncertainty(
+        cloud.pixels_left,
+        cloud.pixels_right,
+        rig.camera_left,
+        rig.camera_right,
+        (rig.pixel_noise_left, rig.pixel_noise_right),
+    )
+    assert len(rows) >= 20 and np.all(reference > 0)
+    np.testing.assert_allclose(closed_form, reference, rtol=1e-6, atol=0)
 
 
 def test_uncertainty_matches_a_montecarlo_reference(two_plane_scene):
@@ -282,6 +297,18 @@ def test_an_ill_conditioned_triangulation_is_unstable(caplog, monkeypatch):
     assert "1 unstable points marked with infinite uncertainty" in caplog.text
 
 
+def test_coincident_camera_centres_are_unstable(caplog):
+    # With no baseline both rays pass through the one centre, so the design
+    # matrix has rank 2 and no point can be triangulated.
+    rig = plain_rig(baseline=0.0)
+    p = np.array([[0.3, 0.2, 5.0], [0.1, -0.2, 3.0]])
+    cloud = PointCloud(p, project_many(rig.camera_left, p)[0], project_many(rig.camera_right, p)[0])
+    with caplog.at_level("WARNING", logger="stereopatch.stereo"):
+        values = attach_uncertainty(cloud, rig)
+    assert np.all(values == np.inf)
+    assert "2 unstable points marked with infinite uncertainty" in caplog.text
+
+
 # -- noise-model calibration ----------------------------------------------------
 
 
@@ -325,8 +352,8 @@ def test_weibull_fits_uncertainty_at_least_as_well_as_gamma(two_plane_scene):
         else calibrate_noise_model(cloud, rig)
     )
     gfit = gamma_mle(samples)
-    w_ll = weibull_log_likelihood(samples, wfit)
-    g_ll = gamma_log_likelihood(samples, gfit)
+    w_ll = float(np.sum(weibull_log_pdf(samples, wfit)))
+    g_ll = float(np.sum(oracles.ref_gamma_logpdf(samples, gfit.shape, gfit.scale)))
     assert w_ll >= g_ll - 1e-3 * len(samples)
 
 
