@@ -62,7 +62,8 @@ class Plane:
 
     def sq_dist_many(self, points: np.ndarray) -> np.ndarray:
         """Squared perpendicular distances (AX + BY + CZ + D)^2 of (n, 3) points."""
-        r = np.asarray(points, float) @ self.implicit[:3] + self.implicit[3]
+        # _dot_rows rounds as HullStack.signed_dist does, so both give bitwise equal terms
+        r = _dot_rows(np.asarray(points, float), self.implicit[:3]) + self.implicit[3]
         return r * r
 
 

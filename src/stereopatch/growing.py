@@ -1,7 +1,7 @@
 """Probabilistic region growing over a stereo point cloud.
 
 Each patch carries a plane fit, a convex boundary hull, and Gamma parameters
-over its members' joint point-to-patch distances.  Candidate points are served
+over its members' point-to-patch distances.  Candidate points are served
 nearest-camera-first from a queue; a point joins the patch with the highest
 log posterior provided that posterior clears a per-point threshold built from
 the global acceptance level and the point's noise penalty.  Rejected points
@@ -10,17 +10,18 @@ grown.  An accept folds the points into the plane's running sums, grows the
 hull from the members at its vertices and the accepted points alone, and
 refits the Gamma parameters over every member.
 
-The joint distance has one implementation, ``_joint_distance``: the
-classifier scores with it and ``Patch.refit`` (in accepts, seeding and
-merges) fits the Gamma parameters to it.  All patches grow in parallel, so
-every queued point is scored against every live patch.  ``PatchStack`` does
-this in one vectorised pass: it holds each patch's hull, weight and Gamma
-parameters along a patch axis and evaluates an (n points x n patches)
-log-posterior matrix.  The image-prior term and the two-camera visibility
-depend only on the point and the patch's segment pair, which nothing changes
-during growth, so ``grow`` computes them once for the whole cloud, together
-with the mask of points each seed pruned; after an accept only that patch's
-row of the stack is re-read.
+The joint distance has one implementation, ``_joint_distance``, which the
+classifier scores with.  Inside a hull it is (1 + w) times the plane term, so
+``Patch.refit`` (in accepts, seeding and merges) fits the Gamma parameters to
+the members' plane term alone.  All patches grow in parallel, so every queued
+point is scored against every live patch.  ``PatchStack`` does this in one
+vectorised pass: it holds each patch's hull, weight and Gamma parameters
+along a patch axis and evaluates an (n points x n patches) log-posterior
+matrix.  The image-prior term and the two-camera visibility depend only on
+the point and the patch's segment pair, which nothing changes during growth,
+so ``grow`` computes them once for the whole cloud, together with the mask of
+points each seed pruned; after an accept only that patch's row of the stack
+is re-read.
 """
 
 from __future__ import annotations
@@ -140,13 +141,15 @@ class Patch:
         return 0.5 * (self.pair.ellipse_left.mean_intensity + self.pair.ellipse_right.mean_intensity)
 
     def refit(self, member_positions: np.ndarray) -> None:
-        """Set theta to ``gamma_mle`` of the members' joint distances.
+        """Set theta to ``gamma_mle`` of the members' clamped plane term (1 + w) * s^2.
 
-        A degenerate sample (fewer than two members, or all distances
-        numerically equal) keeps the current theta.
+        That is their joint distance while they lie inside their hull (see
+        ``_joint_distance``).  A degenerate sample (fewer than two members, or
+        all distances numerically equal) keeps the current theta.
         """
+        d = (1.0 + self.boundary_weight) * self.plane.sq_dist_many(member_positions)
         try:
-            self.theta = gamma_mle(joint_distance_many(self, member_positions))
+            self.theta = gamma_mle(np.maximum(d, _DIST_CLAMP))
         except ValueError:
             logger.debug("patch %d: degenerate distance sample, keeping theta", self.id)
 
@@ -174,12 +177,6 @@ def _joint_distance(
         outer = dp + weight * (dp + hulls.boundary_sq_dist_2d(q[rows]))
         d[rows] = np.where(inside[rows], d[rows], outer)
     return np.maximum(d, _DIST_CLAMP)
-
-
-def joint_distance_many(patch: Patch, positions: np.ndarray) -> np.ndarray:
-    """Plane plus weighted hull distance of (n, 3) points: ``_joint_distance`` to one patch."""
-    pts = np.atleast_2d(np.asarray(positions, float))
-    return _joint_distance(geometry.HullStack([patch.hull]), patch.boundary_weight, pts)[:, 0]
 
 
 def _image_prior(
@@ -311,7 +308,7 @@ def accept(patch: Patch, cloud: PointCloud, state: PointState, indices) -> None:
     The plane absorbs the new points through its running sums, the hull is
     rebuilt from the members at its vertices and the new points on the
     refitted plane (``geometry.update_hull``), and the Gamma parameters are
-    refitted to all member distances in one batch (``Patch.refit``).
+    refitted to all members' plane terms in one batch (``Patch.refit``).
     """
     idx = np.asarray(indices, dtype=int).ravel()
     if len(idx) == 0:

@@ -33,17 +33,13 @@ def default_presets() -> dict:
     """Boundary weights of the bundled synthetic scenes that differ from the default.
 
     ``GrowConfig``'s defaults (acceptance level -15, boundary weight 1e-7)
-    sit on the low-error plateau of two-plane, path, indoors and house at
-    the default density and pixel noise, so they, and scenes without a
-    preset name, need no block.  The workable boundary weight scales with
-    the ratio of the residual noise to the point spacing: random-planes
-    needs 1e-6, and the chessboard 1e-4, as its faces are coplanar and the
-    hull term alone stops a patch from swallowing the neighbouring cells.
+    sit on the low-error plateau of two-plane, path, indoors, house and
+    random-planes at the default density and pixel noise, so they, and
+    scenes without a preset name, need no block.  The chessboard needs
+    1e-4: its faces are coplanar, and the hull term alone stops a patch
+    from swallowing the neighbouring cells.
     """
-    return {
-        "chessboard": {"grow": {"boundary_weight": 1e-4}},
-        "random-planes": {"grow": {"boundary_weight": 1e-6}},
-    }
+    return {"chessboard": {"grow": {"boundary_weight": 1e-4}}}
 
 
 @dataclass

@@ -435,7 +435,8 @@ def classification_error(gt: GroundTruth, patches: list[Patch]) -> float:
     Points carrying label -1 (on no face) count as their own class whose
     correct prediction is "unassigned"; that pairing is fixed, the rest is an
     optimal assignment on the confusion matrix.  Raises ValueError when a
-    member index falls outside the ground-truth points.
+    member index falls outside the ground-truth points, or when a point is
+    listed twice, by one patch or by two.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -450,6 +451,10 @@ def classification_error(gt: GroundTruth, patches: list[Patch]) -> float:
             raise ValueError(
                 f"patch {patch.id} has members outside the {n_points} ground-truth points"
             )
+        twice = (np.bincount(members, minlength=n_points) + (predicted >= 0))[members] > 1
+        if np.any(twice):
+            point = int(members[np.argmax(twice)])
+            raise ValueError(f"point {point} is listed twice (the second time by patch {patch.id})")
         predicted[members] = col
 
     n_faces = len(gt.faces)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from stereopatch import growing, pipeline, synth
+from stereopatch import geometry, growing, pipeline, synth
 from stereopatch.distributions import GammaParams, WeibullParams, gamma_mle
 from stereopatch.geometry import HullStack, PlaneForm, build_hull, fit_plane
 from stereopatch.growing import (
@@ -19,7 +19,6 @@ from stereopatch.growing import (
     accept,
     classify_batch,
     grow,
-    joint_distance_many,
 )
 from stereopatch.refinement import _merge
 from stereopatch.seeding import (
@@ -111,14 +110,20 @@ def build_micro(n=1000, seed=0, half=0.5, depth=4.0, noise=0.001):
 # -- joint distance -----------------------------------------------------------
 
 
+def joint_distance(patch, points):
+    """The classifier's joint distance of (n, 3) points to one patch."""
+    pts = np.atleast_2d(np.asarray(points, float))
+    return growing._joint_distance(HullStack([patch.hull]), patch.boundary_weight, pts)[:, 0]
+
+
 def test_on_plane_inside_hull_is_clamped():
     patch, _ = square_patch()
-    assert joint_distance_many(patch, np.array([[0.5, 0.5, 0.0]]))[0] == 1e-12
+    assert joint_distance(patch, np.array([[0.5, 0.5, 0.0]]))[0] == 1e-12
 
 
 def test_inside_hull_distance_doubles_at_unit_weight():
     patch, _ = square_patch(weight=1.0)
-    assert joint_distance_many(patch, np.array([[0.5, 0.5, 2.0]]))[0] == pytest.approx(8.0, rel=1e-12)
+    assert joint_distance(patch, np.array([[0.5, 0.5, 2.0]]))[0] == pytest.approx(8.0, rel=1e-12)
 
 
 def test_outside_hull_composes_plane_and_boundary_terms():
@@ -129,7 +134,7 @@ def test_outside_hull_composes_plane_and_boundary_terms():
         p = np.array([rng.uniform(1.6, 3.0), rng.uniform(-1.5, -0.4), rng.uniform(-2, 2)])
         plane_term = float(p[2] ** 2)
         hull_term = oracles.dense_point_polygon_sq_dist(p, patch.hull.vertices, grid=600)
-        assert joint_distance_many(patch, p[None])[0] == pytest.approx(
+        assert joint_distance(patch, p[None])[0] == pytest.approx(
             plane_term + w * hull_term, rel=1e-4
         )
 
@@ -192,7 +197,7 @@ def test_zero_intensity_weight_leaves_pure_geometry():
     patch, rig = square_patch(zeta=0.0, theta=GammaParams(1.8, 0.9))
     for trial in range(20):
         p = rng.uniform([-0.5, -0.5, -1.0], [1.5, 1.5, 1.0])
-        d = joint_distance_many(patch, p[None])[0]
+        d = joint_distance(patch, p[None])[0]
         expect = float(oracles.ref_gamma_logpdf(d, patch.theta.shape, patch.theta.scale))
         el, er = patch.pair.ellipse_left, patch.pair.ellipse_right
         expect -= 0.5 * math.log(
@@ -219,7 +224,7 @@ def test_full_score_composes_from_module_pieces():
 
     for trial in range(20):
         p = rng.uniform([-0.5, -0.5, 3.0], [1.5, 1.5, 5.0])
-        d = joint_distance_many(patch, p[None])[0]
+        d = joint_distance(patch, p[None])[0]
         z_l = quad_form(el, project_many(rig.camera_left, p)[0][0])
         z_r = quad_form(er, project_many(rig.camera_right, p)[0][0])
         om_l = 1.0 - el.correlation**2
@@ -690,7 +695,7 @@ def test_every_accept_keeps_the_hull_equal_to_a_rebuild_over_all_members():
 
 
 def fitted_theta(patch, cloud):
-    return gamma_mle(joint_distance_many(patch, cloud.positions[np.asarray(patch.members)]))
+    return gamma_mle(joint_distance(patch, cloud.positions[np.asarray(patch.members)]))
 
 
 def halves(patch):
@@ -718,14 +723,33 @@ def test_seed_accept_and_merge_fit_theta_to_the_joint_distances():
         assert merged[-1].theta == fitted_theta(merged[-1], cloud)
     patches = scene.patches + merged
     for p in patches:
-        # the kernel reads the plane term from the hull
+        # the kernel reads the plane term from the hull, and the refit from
+        # the plane; both round alike
         assert np.array_equal(p.hull.normal, p.plane.normal)
         assert p.hull.offset == p.plane.implicit[3]
+        x = cloud.positions
+        assert np.array_equal(p.plane.sq_dist_many(x), HullStack([p.hull]).signed_dist(x)[:, 0] ** 2)
     # the refit's distances are the classifier's, column for column
     stack = PatchStack(patches, cloud.positions, scene.rig)
     d = growing._joint_distance(stack.hulls, stack.weight, cloud.positions)
     for j, p in enumerate(patches):
-        assert np.array_equal(d[:, j], joint_distance_many(p, cloud.positions))
+        assert np.array_equal(d[:, j], joint_distance(p, cloud.positions))
+
+
+def test_refit_fits_the_plane_term_of_a_member_outside_the_hull():
+    # A member that lies laterally outside its hull is fitted by its plane
+    # term alone, not by the classifier's joint distance.
+    patch, _ = square_patch(weight=1.0)
+    members = np.array(
+        [[0.2, 0.3, 0.01], [0.5, 0.5, -0.02], [0.7, 0.2, 0.03], [3.0, 0.5, 0.015]]
+    )
+    stack = HullStack([patch.hull])
+    assert not stack.contains_2d(stack.to_2d(members[-1:]))[0, 0]
+    patch.refit(members)
+    d = (1.0 + patch.boundary_weight) * patch.plane.sq_dist_many(members)
+    expect = gamma_mle(np.maximum(d, 1e-12))
+    assert patch.theta == expect
+    assert expect != gamma_mle(joint_distance(patch, members))
 
 
 def test_a_degenerate_sample_keeps_the_fallback_or_the_previous_theta():
@@ -791,6 +815,29 @@ def test_batched_growth_matches_single_stepping():
         result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.state)
         outcomes.append(frozenset(result.patches[0].members))
     assert outcomes[0] == outcomes[1]
+
+
+def test_growth_tests_containment_only_for_the_scored_rows(monkeypatch):
+    # Refits read the plane term alone, so the only rows that reach the
+    # containment test are those the classifier scores; an O(members) test
+    # per accept would add every member row again.
+    scene = build_micro(n=900, seed=8)
+    rows = {"inside": 0, "scored": 0}
+    inside_polygons, scores = geometry._inside_polygons, PatchStack.scores
+
+    def counting_inside(q, *args):
+        rows["inside"] += len(q)
+        return inside_polygons(q, *args)
+
+    def counting_scores(self, idx):
+        rows["scored"] += len(idx)
+        return scores(self, idx)
+
+    monkeypatch.setattr(geometry, "_inside_polygons", counting_inside)
+    monkeypatch.setattr(PatchStack, "scores", counting_scores)
+    result = grow([scene.patch], scene.cloud, scene.cfg, scene.rig, scene.state)
+    assert result.accepted > 0
+    assert rows["inside"] == rows["scored"] > 0
 
 
 def test_growth_stops_at_max_epochs_and_flags_truncation(caplog):

@@ -412,6 +412,16 @@ def test_cli_rejects_mistyped_config_values(tmp_path, small_scene, block):
     assert "config.json" in proc.stderr
 
 
+def _add_member(src, dst):
+    """Mutation that lists patch ``src``'s first member in patch ``dst`` as well."""
+
+    def mutate(doc):
+        patches = doc["patches"]
+        patches[dst]["members"].append(patches[src]["members"][0])
+
+    return mutate
+
+
 def _set(*keys_and_value):
     """Mutation that stores the last argument at the key path given by the others."""
     *keys, value = keys_and_value
@@ -451,6 +461,8 @@ def _set(*keys_and_value):
             id="member-past-the-end",
         ),
         pytest.param("patches.json", _set("patches", 0, "members", 0, -3), id="negative-member"),
+        pytest.param("patches.json", _add_member(0, 1), id="member-in-two-patches"),
+        pytest.param("patches.json", _add_member(0, 0), id="member-listed-twice"),
         pytest.param(
             "patches.json", _set("patches", 0, "intensity_override", "bright"),
             id="mistyped-intensity",
