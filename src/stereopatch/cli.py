@@ -61,19 +61,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    unassigned = [int(i) for i in np.where(result.state.assigned_to < 0)[0]]
     doc = io.ExtractionDocument(
         result.patches,
-        unassigned,
+        np.flatnonzero(result.labels < 0).tolist(),
         scene_id,
         result.grow_result.epochs,
         result.grow_result.truncated,
         result.grow_result.accepted,
     )
     io.save_patches(out / "patches.json", doc)
-    io.save_cloud(
-        out / "labeled.ply", cloud, result.state.assigned_to, scene_id, binary=args.binary
-    )
+    io.save_cloud(out / "labeled.ply", cloud, result.labels, scene_id, binary=args.binary)
     report = _extract_report(doc, len(cloud), len(result.seed_rejections))
     (out / "report.txt").write_text(report)
     print(report, end="")

@@ -1,4 +1,4 @@
-"""Gamma and Weibull maximum-likelihood fits, Weibull log-density, Gamma sums.
+"""Gamma and Weibull maximum-likelihood fits and moment-matched Gamma sums.
 
 The Gamma shape estimate uses the closed-form approximation
 shape = (3 - phi + sqrt((phi - 3)^2 + 24*phi)) / (12*phi) with
@@ -69,22 +69,6 @@ def gamma_mle(values) -> GammaParams:
         raise ValueError("degenerate sample")
     shape = (3.0 - phi + np.sqrt((phi - 3.0) ** 2 + 24.0 * phi)) / (12.0 * phi)
     return GammaParams(float(shape), mean / float(shape))
-
-
-def weibull_log_pdf(d, params: WeibullParams):
-    """Log density log(k/lam) + (k-1)*log(d/lam) - (d/lam)^k for d >= 0."""
-    x = np.asarray(d, float)
-    if np.any(x < 0) or np.any(~np.isfinite(x)):
-        raise ValueError("negative distance")
-    k = params.shape
-    lam = params.scale
-    t = x / lam
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(k / lam) + (k - 1.0) * np.log(t) - t**k
-    if k == 1.0:
-        # (k-1)*log(0) is 0 here, not nan
-        out = np.where(x == 0.0, np.log(k / lam), out)
-    return float(out) if np.isscalar(d) else out
 
 
 def weibull_fit(samples, max_iter: int = 100, tol: float = 1e-10) -> WeibullParams:

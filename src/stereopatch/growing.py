@@ -1,14 +1,16 @@
 """Probabilistic region growing over a stereo point cloud.
 
-Each patch carries a plane fit, a convex boundary hull, and Gamma parameters
-over its members' point-to-patch distances.  Candidate points are served
-nearest-camera-first from a queue; a point joins the patch with the highest
-log posterior provided that posterior clears a per-point threshold built from
-the global acceptance level and the point's noise penalty.  Rejected points
-return to the far end of the queue and are retried after the patches have
-grown.  An accept folds the points into the plane's running sums, grows the
-hull from the members at its vertices and the accepted points alone, and
-refits the Gamma parameters over every member.
+Each patch carries a plane fit, a convex boundary hull, Gamma parameters
+over its members' point-to-patch distances, and its members as an int array
+in acceptance order; that array is the one record of membership, and
+``member_labels`` derives each point's patch id from it.  Each epoch serves
+the unassigned points nearest-camera-first; a point joins the patch with the
+highest log posterior provided that posterior clears a per-point threshold
+built from the global acceptance level and the point's noise penalty.
+Rejected points are retried in the next epoch, after the patches have grown.
+An accept folds the points into the plane's running sums, grows the hull from
+the members at its vertices and the accepted points alone, and refits the
+Gamma parameters over every member.
 
 The joint distance has one implementation, ``_joint_distance``, which the
 classifier scores with.  Inside a hull it is (1 + w) times the plane term, so
@@ -29,7 +31,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +91,7 @@ class GrowConfig:
 
 
 class PointState:
-    """Membership bookkeeping: which patch owns each point, if any."""
+    """Which points seeding and growth have handed out, guarding against a second claim."""
 
     def __init__(self, n_points: int) -> None:
         self.assigned_to = np.full(n_points, -1, dtype=int)
@@ -104,12 +105,6 @@ class PointState:
             raise ValueError("point already assigned")
         self.assigned_to[idx] = patch_id
 
-    def reassign(self, indices, patch_id: int) -> None:
-        self.assigned_to[np.asarray(indices, dtype=int)] = patch_id
-
-    def release(self, indices) -> None:
-        self.assigned_to[np.asarray(indices, dtype=int)] = -1
-
     def available_mask(self) -> np.ndarray:
         return self.assigned_to < 0
 
@@ -119,12 +114,16 @@ class PointState:
 
 @dataclass
 class Patch:
-    """A growing planar patch: plane + hull (which carries the plane) + members + theta."""
+    """A growing planar patch: plane + hull (which carries the plane) + members + theta.
+
+    ``members`` is a 1-D int array of cloud indices in acceptance order; any
+    sequence given to the constructor is converted to one.
+    """
 
     id: int
     plane: geometry.Plane
     hull: geometry.PlanarHull
-    members: list[int]
+    members: np.ndarray
     theta: GammaParams
     pair: "object"  # seeding.SegmentPair; kept loose to avoid an import cycle
     boundary_weight: float = 1.0
@@ -133,6 +132,9 @@ class Patch:
     intensity_override: float | None = None
     # points the seed's residual prune excluded; growth never offers them to this patch
     pruned: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+
+    def __post_init__(self) -> None:
+        self.members = np.asarray(self.members, dtype=int).reshape(-1)
 
     @property
     def mean_intensity(self) -> float:
@@ -315,16 +317,37 @@ def accept(patch: Patch, cloud: PointCloud, state: PointState, indices) -> None:
         return
     new_pts = cloud.positions[idx]
     patch.plane = geometry.update_fit_many(patch.plane, new_pts)
-    patch.members.extend(int(i) for i in idx)
+    patch.members = np.concatenate([patch.members, idx])
     patch.hull = geometry.update_hull(patch.hull, patch.plane, new_pts)
     state.assign(idx, patch.id)
-    patch.refit(cloud.positions[np.asarray(patch.members, dtype=int)])
+    patch.refit(cloud.positions[patch.members])
+
+
+def member_labels(patches: list[Patch], n_points: int) -> np.ndarray:
+    """Each point's patch id, or -1 for a point in no patch, read off the member arrays.
+
+    Raises ValueError naming the first patch with members outside the
+    ``n_points`` points, or the lowest point listed twice, whether by one
+    patch or by two.
+    """
+    labels = np.full(n_points, -1, dtype=int)
+    if not patches:
+        return labels
+    members = np.concatenate([p.members for p in patches])
+    ids = np.repeat([p.id for p in patches], [len(p.members) for p in patches])
+    outside = (members < 0) | (members >= n_points)
+    if np.any(outside):
+        raise ValueError(f"patch {ids[np.argmax(outside)]} has members outside the {n_points} points")
+    twice = np.bincount(members, minlength=n_points) > 1
+    if np.any(twice):
+        raise ValueError(f"point {np.argmax(twice)} is listed twice")
+    labels[members] = ids
+    return labels
 
 
 @dataclass
 class GrowResult:
     patches: list[Patch]
-    unassigned: list[int]
     epochs: int
     truncated: bool
     accepted: int
@@ -339,59 +362,47 @@ def grow(
 ) -> GrowResult:
     """Run the acceptance loop until an epoch makes no progress.
 
-    The queue is sorted descending by the sum of squared distances to the two
-    camera centers and served from the bottom, so near points are classified
-    first while the patches are still small; rejected points are re-inserted
-    at the top and come around again in the next epoch.  The loop ends when a
-    full epoch accepts nothing, or after ``max_epochs`` (flagged truncated).
-    One ``PatchStack`` over the cloud scores every batch, so a patch never
-    takes a point its seed pruned (``Patch.pruned``).  Without patches
-    nothing can be accepted: no epoch runs and every available point stays
-    unassigned.
+    Each epoch serves its points nearest first, by the sum of squared
+    distances to the two camera centers (equal sums go to the higher index
+    first), so near points are classified while the patches are still small.
+    The first epoch serves every available point; each later one serves the
+    points the one before rejected, in the order they were served.  The loop
+    ends when an epoch accepts nothing, or after ``max_epochs`` (flagged
+    truncated).  One ``PatchStack`` over the cloud scores every batch, so a
+    patch never takes a point its seed pruned (``Patch.pruned``).  Without
+    patches nothing can be accepted, and no epoch runs.
     """
+    if not patches:
+        return GrowResult(patches, 0, False, 0)
     centers = rig.camera_centers()
     avail = state.available_indices()
     cam_d = np.sum((cloud.positions[avail, None, :] - centers[None, :, :]) ** 2, axis=(1, 2))
-    # stable descending sort; index breaks ties deterministically
-    order = np.lexsort((avail, -cam_d))
-    queue: deque[int] = deque(int(i) for i in avail[order])
-    if not patches:
-        return GrowResult(patches, [int(i) for i in queue], 0, False, 0)
+    queue = avail[np.lexsort((-avail, cam_d))]
 
     stack = PatchStack(patches, cloud.positions, rig)
     epochs = 0
     truncated = False
     accepted_total = 0
-    epoch_remaining = len(queue)
-    epoch_accepted = 0
     patches_by_id = {p.id: p for p in patches}
 
-    while queue:
-        k = min(cfg.batch_size, len(queue), epoch_remaining)
-        batch = [queue.pop() for _ in range(k)]
-        decisions = classify_batch(patches, cloud, np.array(batch), cfg, rig, stack)
-        taken: dict[int, list[int]] = {}
-        for point_idx, decision in zip(batch, decisions):
-            if decision is None:
-                queue.appendleft(point_idx)
-            else:
-                taken.setdefault(decision, []).append(point_idx)
-        for pid in sorted(taken):
-            accept(patches_by_id[pid], cloud, state, taken[pid])
-            stack.refresh(pid)
-            n_taken = len(taken[pid])
-            epoch_accepted += n_taken
-            accepted_total += n_taken
-        epoch_remaining -= k
-        if epoch_remaining <= 0:
-            epochs += 1
-            if epoch_accepted == 0:
-                break
-            if epochs >= cfg.max_epochs:
-                truncated = True
-                logger.warning("growth truncated after %d epochs", epochs)
-                break
-            epoch_remaining = len(queue)
-            epoch_accepted = 0
+    while len(queue):
+        rejected = []
+        for start in range(0, len(queue), cfg.batch_size):
+            batch = queue[start : start + cfg.batch_size]
+            decisions = classify_batch(patches, cloud, batch, cfg, rig, stack)
+            rejected.append(batch[[d is None for d in decisions]])
+            for pid in sorted({d for d in decisions if d is not None}):
+                accept(patches_by_id[pid], cloud, state, batch[[d == pid for d in decisions]])
+                stack.refresh(pid)
+        rejected = np.concatenate(rejected)
+        epochs += 1
+        accepted_total += len(queue) - len(rejected)
+        if len(rejected) == len(queue):
+            break
+        if epochs >= cfg.max_epochs:
+            truncated = True
+            logger.warning("growth truncated after %d epochs", epochs)
+            break
+        queue = rejected
 
-    return GrowResult(patches, [int(i) for i in queue], epochs, truncated, accepted_total)
+    return GrowResult(patches, epochs, truncated, accepted_total)

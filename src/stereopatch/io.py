@@ -355,7 +355,7 @@ def save_patches(path, doc: ExtractionDocument) -> None:
                 "sums": patch.plane.sums.tolist(),
                 "n_points": patch.plane.n_points,
                 "hull_vertices": patch.hull.vertices.tolist(),
-                "members": [int(i) for i in patch.members],
+                "members": patch.members.tolist(),
                 "theta": {"shape": patch.theta.shape, "scale": patch.theta.scale},
                 "ellipse_left": _ellipse_doc(patch.pair.ellipse_left),
                 "ellipse_right": _ellipse_doc(patch.pair.ellipse_right),
@@ -371,7 +371,7 @@ def save_patches(path, doc: ExtractionDocument) -> None:
             "kind": "patches",
             "scene_id": doc.scene_id,
             "patches": entries,
-            "unassigned": [int(i) for i in doc.unassigned],
+            "unassigned": doc.unassigned,
             "epochs": doc.epochs,
             "truncated": doc.truncated,
             "accepted": doc.accepted,
@@ -380,6 +380,8 @@ def save_patches(path, doc: ExtractionDocument) -> None:
 
 
 def load_patches(path) -> ExtractionDocument:
+    """Read a patches file.  Patch ids must be distinct and non-negative, because
+    labels use -1 for a point in no patch and are keyed by patch id."""
     doc = _load_json(path, "patches")
     patches = []
     for entry in _items(doc, path, "patches"):
@@ -397,12 +399,17 @@ def load_patches(path) -> ExtractionDocument:
             )
             hull = hull_from_vertices(plane, np.asarray(_field(entry, path, "hull_vertices"), float))
             theta_doc = _field(entry, path, "theta")
-            members = [_int(i, "member") for i in _items(entry, path, "members")]
-            if any(i < 0 for i in members):
-                raise ValueError(f"negative member index {min(members)}")
+            members = np.array([_int(i, "member") for i in _items(entry, path, "members")], int)
+            if np.any(members < 0):
+                raise ValueError(f"negative member index {members.min()}")
+            pid = _int(_field(entry, path, "id"), "id")
+            if pid < 0:
+                raise ValueError(f"negative patch id {pid}")
+            if any(p.id == pid for p in patches):
+                raise ValueError(f"repeated patch id {pid}")
             override = _field(entry, path, "intensity_override")
             patch = Patch(
-                _int(_field(entry, path, "id"), "id"),
+                pid,
                 plane,
                 hull,
                 members,

@@ -10,7 +10,7 @@ import numpy as np
 from . import synth
 from .distributions import WeibullParams
 from .geometry import hull_is_convex
-from .growing import GrowConfig, GrowResult, Patch, PointState, grow
+from .growing import GrowConfig, GrowResult, Patch, grow, member_labels
 from .refinement import RefineConfig, refine
 from .seeding import SeedConfig, SeedRejection, seed_all, segment_to_pairs
 from .stereo import (
@@ -76,8 +76,10 @@ def _with_blocks(cfg: RunConfig, block: dict) -> RunConfig:
 
 @dataclass
 class PipelineResult:
+    """The final patches and each cloud point's patch id, or -1 (``member_labels``)."""
+
     patches: list[Patch]
-    state: PointState
+    labels: np.ndarray
     grow_result: GrowResult
     seed_rejections: list[SeedRejection]
 
@@ -135,40 +137,29 @@ def run_pipeline(
     grow_result = grow(patches, cloud, cfg.grow_cfg, rig, state)
 
     refine_cfg = cfg.refine_cfg.resolved(cloud, cfg.seed_cfg.resolve_radius(cloud))
-    final = refine(grow_result.patches, cloud, refine_cfg, state)
+    final = refine(grow_result.patches, cloud, refine_cfg)
     if not final:
         raise PipelineError("no patches survive refinement")
 
-    verify_extraction(final, state, cloud)
-    return PipelineResult(final, state, grow_result, rejections)
+    labels = verify_extraction(final, cloud)
+    return PipelineResult(final, labels, grow_result, rejections)
 
 
-def verify_extraction(patches: list[Patch], state: PointState, cloud: PointCloud) -> None:
-    """Structural invariants every finished extraction must satisfy.
+def verify_extraction(patches: list[Patch], cloud: PointCloud) -> np.ndarray:
+    """Structural invariants every finished extraction must satisfy; returns the labels.
 
-    No point in two patches, membership consistent with the assignment state,
-    assigned plus unassigned covering the cloud exactly, every hull convex.
-    Raises PipelineError naming the first violation.
+    Every member indexes the cloud, no point is listed twice (by one patch
+    or by two), and every hull is convex.  Raises PipelineError naming the
+    first violation; otherwise returns ``member_labels`` of the patches.
     """
-    seen: set[int] = set()
+    try:
+        labels = member_labels(patches, len(cloud))
+    except ValueError as exc:
+        raise PipelineError(str(exc)) from None
     for patch in patches:
-        members = set(patch.members)
-        if len(members) != len(patch.members):
-            raise PipelineError(f"patch {patch.id} lists a member twice")
-        overlap = seen & members
-        if overlap:
-            raise PipelineError(f"point {min(overlap)} belongs to more than one patch")
-        seen |= members
-        for idx in patch.members:
-            if state.assigned_to[idx] != patch.id:
-                raise PipelineError(f"point {idx} assignment disagrees with patch {patch.id}")
         if not hull_is_convex(patch.hull):
             raise PipelineError(f"patch {patch.id} hull is not convex")
-    n_assigned = int(np.sum(state.assigned_to >= 0))
-    if n_assigned != len(seen):
-        raise PipelineError("assignment state tracks points outside any patch")
-    if n_assigned + int(np.sum(state.assigned_to < 0)) != len(cloud):
-        raise PipelineError("assigned plus unassigned does not cover the cloud")
+    return labels
 
 
 def _metric_row(gt: synth.GroundTruth, result: PipelineResult) -> dict:

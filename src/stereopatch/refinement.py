@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .growing import Patch, PointState, _check_config
+from .growing import Patch, _check_config
 from .stereo import PointCloud
 
 logger = logging.getLogger(__name__)
@@ -67,8 +67,8 @@ def _merge(a: Patch, b: Patch, cloud: PointCloud) -> Patch:
 
     A degenerate distance sample keeps the first patch's theta.
     """
-    members = sorted(set(a.members) | set(b.members))
-    pts = cloud.positions[np.asarray(members, dtype=int)]
+    members = np.union1d(a.members, b.members)
+    pts = cloud.positions[members]
     form = geometry.choose_plane_form(pts)
     plane = geometry.fit_plane(pts, form)
     hull = geometry.build_hull(plane, pts)
@@ -88,15 +88,10 @@ def _merge(a: Patch, b: Patch, cloud: PointCloud) -> Patch:
     return merged
 
 
-def refine(
-    patches: list[Patch],
-    cloud: PointCloud,
-    cfg: RefineConfig,
-    state: PointState | None = None,
-) -> list[Patch]:
+def refine(patches: list[Patch], cloud: PointCloud, cfg: RefineConfig) -> list[Patch]:
     """Discard undersized patches, then greedily merge aligned neighbours.
 
-    Discarded patches release their members back to unassigned.  Merge
+    A discarded patch's members are left in no patch.  Merge
     candidates need |n_i . n_j| >= normal_dot_min, hull distance <=
     hull_dist_max and mean intensities within intensity_tol; ties on the
     alignment go to the lowest id pair.  Deterministic throughout.
@@ -113,8 +108,6 @@ def refine(
                 len(patch.members),
                 geometry.hull_area(patch.hull),
             )
-            if state is not None:
-                state.release(patch.members)
             continue
         kept.append(patch)
 
@@ -139,8 +132,6 @@ def refine(
             break
         i, j = best_pair
         merged = _merge(kept[i], kept[j], cloud)
-        if state is not None:
-            state.reassign(merged.members, merged.id)
         kept = [p for k, p in enumerate(kept) if k not in (i, j)]
         kept.append(merged)
         kept.sort(key=lambda p: p.id)

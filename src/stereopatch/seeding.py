@@ -247,7 +247,7 @@ def seed_patch(
         patch_id,
         plane,
         hull,
-        [int(i) for i in members],
+        members,
         _fallback_theta(cloud, members, boundary_weight),
         pair,
         boundary_weight,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .growing import Patch
+from .growing import Patch, member_labels
 from .stereo import EllipsePrior, PointCloud, StereoRig, _in_fov, project_many, triangulate_many
 
 logger = logging.getLogger(__name__)
@@ -434,33 +434,23 @@ def classification_error(gt: GroundTruth, patches: list[Patch]) -> float:
 
     Points carrying label -1 (on no face) count as their own class whose
     correct prediction is "unassigned"; that pairing is fixed, the rest is an
-    optimal assignment on the confusion matrix.  Raises ValueError when a
-    member index falls outside the ground-truth points, or when a point is
-    listed twice, by one patch or by two.
+    optimal assignment on the confusion matrix.  The predictions are the
+    patches' ``member_labels``, which raise ValueError when a member index
+    falls outside the ground-truth points, or when a point is listed twice,
+    by one patch or by two.
     """
     from scipy.optimize import linear_sum_assignment
 
     n_points = len(gt.labels)
     if n_points == 0:
         raise ValueError("ground truth has no points")
-    predicted = np.full(n_points, -1)
     by_id = sorted(patches, key=lambda p: p.id)
-    for col, patch in enumerate(by_id):
-        members = np.asarray(patch.members, int)
-        if len(members) and (members.min() < 0 or members.max() >= n_points):
-            raise ValueError(
-                f"patch {patch.id} has members outside the {n_points} ground-truth points"
-            )
-        twice = (np.bincount(members, minlength=n_points) + (predicted >= 0))[members] > 1
-        if np.any(twice):
-            point = int(members[np.argmax(twice)])
-            raise ValueError(f"point {point} is listed twice (the second time by patch {patch.id})")
-        predicted[members] = col
+    predicted = member_labels(by_id, n_points)
 
     n_faces = len(gt.faces)
     confusion = np.zeros((max(len(by_id), 1), max(n_faces, 1)), dtype=int)
-    for col in range(len(by_id)):
-        sel = gt.labels[predicted == col]
+    for col, patch in enumerate(by_id):
+        sel = gt.labels[predicted == patch.id]
         sel = sel[sel >= 0]
         if len(sel):
             confusion[col] += np.bincount(sel, minlength=n_faces)[:n_faces]

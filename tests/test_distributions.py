@@ -1,4 +1,4 @@
-"""Gamma and Weibull kernels: densities, estimators, moment matching."""
+"""Gamma and Weibull kernels: estimators, moment matching, the penalty transform."""
 
 import math
 
@@ -7,11 +7,9 @@ import pytest
 
 from stereopatch.distributions import (
     GammaParams,
-    WeibullParams,
     gamma_mle,
     gamma_sum_approx,
     weibull_fit,
-    weibull_log_pdf,
 )
 
 import oracles
@@ -103,29 +101,7 @@ def test_degenerate_and_invalid_samples_raise():
         gamma_mle(np.array([1.0, -2.0, 3.0]))
 
 
-# -- weibull density ----------------------------------------------------------
-
-
-def test_weibull_exponential_value():
-    assert weibull_log_pdf(0.5, WeibullParams(1.0, 1.0)) == pytest.approx(-0.5, abs=1e-15)
-
-
-def test_weibull_matches_reference_density():
-    rng = np.random.default_rng(27)
-    for trial in range(100):
-        wp = WeibullParams(rng.uniform(0.4, 5), rng.uniform(0.05, 4))
-        d = rng.uniform(1e-6, 10)
-        assert weibull_log_pdf(d, wp) == pytest.approx(
-            float(oracles.ref_weibull_logpdf(d, wp.shape, wp.scale)),
-            rel=1e-12,
-            abs=1e-12,
-        )
-
-
-def test_weibull_normalizes_by_quadrature():
-    wp = WeibullParams(2.0, 1.0)
-    mass = oracles.quad_unit_mass(lambda t: weibull_log_pdf(t, wp), 1e-12, 40.0)
-    assert mass == pytest.approx(1.0, abs=1e-6)
+# -- weibull penalty transform ------------------------------------------------
 
 
 def test_penalty_transform_identity():
@@ -139,14 +115,8 @@ def test_penalty_transform_identity():
         c2 = k * math.log(lam) - math.log(k)
         f = (d / lam) ** k - (k - 1.0) * math.log(d)
         lhs = f + c2
-        rhs = -weibull_log_pdf(d, WeibullParams(k, lam))
+        rhs = -float(oracles.ref_weibull_logpdf(d, k, lam))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def test_weibull_finite_over_extreme_range():
-    wp = WeibullParams(0.7, 2.0)
-    for d in (1e-12, 1e-3, 1.0, 1e6, 1e12):
-        assert math.isfinite(weibull_log_pdf(d, wp))
 
 
 # -- weibull estimation -------------------------------------------------------
@@ -181,12 +151,12 @@ def test_fit_beats_local_grid():
     rng = np.random.default_rng(32)
     samples = 1.3 * rng.weibull(1.8, size=3000)
     fit = weibull_fit(samples)
-    mine = float(np.sum(weibull_log_pdf(samples, fit)))
+    mine = float(np.sum(oracles.ref_weibull_logpdf(samples, fit.shape, fit.scale)))
     shapes = fit.shape * np.linspace(0.9, 1.1, 100)
     scales = fit.scale * np.linspace(0.9, 1.1, 100)
     for k in shapes:
-        for lam in scales:
-            assert mine >= float(np.sum(weibull_log_pdf(samples, WeibullParams(k, lam)))) - 1e-9
+        grid = np.sum(oracles.ref_weibull_logpdf(samples[None, :], k, scales[:, None]), axis=1)
+        assert np.all(mine >= grid - 1e-9)
 
 
 def test_weibull_degenerate_sample_raises():

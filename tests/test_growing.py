@@ -322,7 +322,7 @@ def test_no_patches_classify_nothing(micro):
     result = grow([], micro.cloud, micro.cfg, micro.rig, state)
     assert (result.epochs, result.accepted, result.truncated) == (0, 0, False)
     assert result.patches == []
-    assert sorted(result.unassigned) == list(range(len(micro.cloud)))
+    assert state.available_indices().tolist() == list(range(len(micro.cloud)))
     assert not np.any(state.assigned_to >= 0)
 
 
@@ -784,7 +784,7 @@ def test_saturates_on_a_single_face():
     cfg = replace(scene.cfg, log_threshold=-30.0)
     result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.state)
     assert not result.truncated
-    assert result.unassigned == []
+    assert len(scene.state.available_indices()) == 0
     assert int(np.sum(scene.state.assigned_to >= 0)) == len(scene.cloud)
     assert result.epochs >= 1
 

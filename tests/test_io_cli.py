@@ -252,9 +252,14 @@ def test_ground_truth_roundtrip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def _int_arrays(patches):
+    return all(isinstance(p.members, np.ndarray) and p.members.dtype.kind == "i" for p in patches)
+
+
 def test_patches_roundtrip(tmp_path, two_plane_run):
     result = two_plane_run.result
-    unassigned = [int(i) for i in np.where(result.state.assigned_to < 0)[0]]
+    assert _int_arrays(result.patches)
+    unassigned = np.flatnonzero(result.labels < 0).tolist()
     doc = io.ExtractionDocument(
         result.patches,
         unassigned,
@@ -266,6 +271,7 @@ def test_patches_roundtrip(tmp_path, two_plane_run):
     path = tmp_path / "patches.json"
     io.save_patches(path, doc)
     loaded = io.load_patches(path)
+    assert _int_arrays(loaded.patches)
     assert loaded.scene_id == doc.scene_id
     assert loaded.unassigned == unassigned
     assert (loaded.epochs, loaded.truncated, loaded.accepted) == (
@@ -287,7 +293,7 @@ def test_patches_roundtrip(tmp_path, two_plane_run):
         assert np.array_equal(a.plane.sums, b.plane.sums)
         assert a.plane.n_points == b.plane.n_points
         assert np.array_equal(a.hull.vertices, b.hull.vertices)
-        assert a.members == b.members
+        assert np.array_equal(a.members, b.members)
         assert (a.theta.shape, a.theta.scale) == (b.theta.shape, b.theta.scale)
         assert a.boundary_weight == b.boundary_weight
     again = tmp_path / "patches2.json"
@@ -343,7 +349,7 @@ def test_a_scene_without_a_preset_name_runs_at_the_tuned_defaults(two_plane_run)
     result = pipeline.run_pipeline(scene.cloud, scene.rig, scene.segments)
     assert len(result.patches) == len(scene.result.patches)
     for a, b in zip(result.patches, scene.result.patches):
-        assert a.members == b.members
+        assert np.array_equal(a.members, b.members)
         assert a.plane.form == b.plane.form
         assert np.array_equal(a.plane.coeffs, b.plane.coeffs)
 
@@ -463,6 +469,8 @@ def _set(*keys_and_value):
         pytest.param("patches.json", _set("patches", 0, "members", 0, -3), id="negative-member"),
         pytest.param("patches.json", _add_member(0, 1), id="member-in-two-patches"),
         pytest.param("patches.json", _add_member(0, 0), id="member-listed-twice"),
+        pytest.param("patches.json", _set("patches", 0, "id", -1), id="negative-patch-id"),
+        pytest.param("patches.json", _set("patches", 1, "id", 0), id="repeated-patch-id"),
         pytest.param(
             "patches.json", _set("patches", 0, "intensity_override", "bright"),
             id="mistyped-intensity",

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from stereopatch.distributions import GammaParams
-from stereopatch.geometry import build_hull, choose_plane_form, fit_plane, hull_area, hull_is_convex
-from stereopatch.growing import Patch, PointState
+from stereopatch.geometry import (
+    build_hull,
+    choose_plane_form,
+    fit_plane,
+    hull_area,
+    hull_from_vertices,
+    hull_is_convex,
+)
+from stereopatch.growing import Patch, member_labels
+from stereopatch.pipeline import PipelineError, verify_extraction
 from stereopatch.refinement import RefineConfig, refine
 from stereopatch.seeding import SegmentPair
 from stereopatch.stereo import EllipsePrior, PointCloud
@@ -57,19 +65,16 @@ def loose_cfg(**overrides):
 
 
 def two_abutting_patches(rng, intensities=(0.5, 0.5), tilts=(0.0, 0.0), lifts=(0.0, 0.0)):
-    """Two 40-point rectangles meeting at x=1, plus their cloud and state."""
+    """Two 40-point rectangles meeting at x=1, plus their cloud."""
     pts_a = rect_points(rng, 0.0, 1.0, 0.0, 1.0, tilt=tilts[0], lift=lifts[0])
     pts_b = rect_points(rng, 1.0, 2.0, 0.0, 1.0, tilt=tilts[1], lift=lifts[1])
     # pin the shared edge so the hulls actually touch
     pts_a[0], pts_a[1] = [1.0, 0.0, lifts[0] + tilts[0]], [1.0, 1.0, lifts[0] + tilts[0]]
     pts_b[0], pts_b[1] = [1.0, 0.0, lifts[1] + tilts[1]], [1.0, 1.0, lifts[1] + tilts[1]]
     cloud = make_cloud(np.vstack([pts_a, pts_b]))
-    state = PointState(len(cloud))
     a = make_patch(0, cloud, range(40), intensity=intensities[0])
     b = make_patch(1, cloud, range(40, 80), intensity=intensities[1])
-    state.assign(a.members, 0)
-    state.assign(b.members, 1)
-    return cloud, state, a, b
+    return cloud, a, b
 
 
 # -- discard gates ------------------------------------------------------------
@@ -78,14 +83,12 @@ def two_abutting_patches(rng, intensities=(0.5, 0.5), tilts=(0.0, 0.0), lifts=(0
 def test_undersized_patch_is_discarded_and_released():
     rng = np.random.default_rng(60)
     cloud = make_cloud(rect_points(rng, 0, 1, 0, 1, n=12))
-    state = PointState(len(cloud))
     patch = make_patch(0, cloud, range(12))
     # keep the fitted geometry but claim only two of the points
     patch.members = patch.members[:2]
-    state.assign(patch.members, 0)
-    out = refine([patch], cloud, loose_cfg(min_members=10), state)
+    out = refine([patch], cloud, loose_cfg(min_members=10))
     assert out == []
-    assert not np.any(state.assigned_to >= 0)
+    assert not np.any(member_labels(out, len(cloud)) >= 0)
 
 
 def test_sliver_patch_is_discarded():
@@ -93,14 +96,11 @@ def test_sliver_patch_is_discarded():
     wide_pts = rect_points(rng, 2, 3, 0, 1)
     sliver_pts = rect_points(rng, 0, 1, 0, 0.01, n=15)
     cloud = make_cloud(np.vstack([wide_pts, sliver_pts]))
-    state = PointState(len(cloud))
     a = make_patch(0, cloud, range(40))
     b = make_patch(1, cloud, range(40, 55))
-    state.assign(a.members, 0)
-    state.assign(b.members, 1)
-    out = refine([a, b], cloud, loose_cfg(min_area=0.05), state)
+    out = refine([a, b], cloud, loose_cfg(min_area=0.05))
     assert [p.id for p in out] == [0]
-    assert np.all(state.assigned_to[40:] == -1)
+    assert np.all(member_labels(out, len(cloud))[40:] == -1)
 
 
 def test_unresolved_config_is_rejected():
@@ -108,7 +108,7 @@ def test_unresolved_config_is_rejected():
     cloud = make_cloud(rect_points(rng, 0, 1, 0, 1))
     patch = make_patch(0, cloud, range(40))
     with pytest.raises(ValueError, match="not resolved"):
-        refine([patch], cloud, RefineConfig(), PointState(len(cloud)))
+        refine([patch], cloud, RefineConfig())
 
 
 def test_resolved_fills_only_the_missing_gates():
@@ -127,8 +127,8 @@ def test_resolved_fills_only_the_missing_gates():
 
 def test_coplanar_neighbours_merge_onto_the_common_plane():
     rng = np.random.default_rng(64)
-    cloud, state, a, b = two_abutting_patches(rng)
-    out = refine([a, b], cloud, loose_cfg(), state)
+    cloud, a, b = two_abutting_patches(rng)
+    out = refine([a, b], cloud, loose_cfg())
     assert len(out) == 1
     merged = out[0]
     assert merged.id == 0
@@ -137,7 +137,7 @@ def test_coplanar_neighbours_merge_onto_the_common_plane():
     implicit = merged.plane.implicit
     implicit = implicit if implicit[2] > 0 else -implicit
     assert np.max(np.abs(implicit - np.array([0, 0, 1, 0.0]))) <= 1e-9
-    assert np.all(state.assigned_to == 0)
+    assert np.all(member_labels(out, len(cloud)) == 0)
 
 
 def test_distant_parallel_patches_stay_apart():
@@ -147,31 +147,31 @@ def test_distant_parallel_patches_stay_apart():
     cloud = make_cloud(np.vstack([pts_a, pts_b]))
     a = make_patch(0, cloud, range(40))
     b = make_patch(1, cloud, range(40, 80))
-    out = refine([a, b], cloud, loose_cfg(), PointState(len(cloud)))
+    out = refine([a, b], cloud, loose_cfg())
     assert sorted(p.id for p in out) == [0, 1]
 
 
 def test_stacked_parallel_patches_stay_apart():
     rng = np.random.default_rng(66)
-    cloud, state, a, b = two_abutting_patches(rng, lifts=(0.0, 3.0))
-    out = refine([a, b], cloud, loose_cfg(), state)
+    cloud, a, b = two_abutting_patches(rng, lifts=(0.0, 3.0))
+    out = refine([a, b], cloud, loose_cfg())
     assert sorted(p.id for p in out) == [0, 1]
 
 
 def test_misaligned_normals_stay_apart():
     rng = np.random.default_rng(67)
     # ~16 degrees between the normals: alignment well under 0.98
-    cloud, state, a, b = two_abutting_patches(rng, tilts=(0.0, 0.29), lifts=(0.0, -0.29))
+    cloud, a, b = two_abutting_patches(rng, tilts=(0.0, 0.29), lifts=(0.0, -0.29))
     alignment = abs(float(np.dot(a.plane.normal, b.plane.normal)))
     assert alignment < 0.98
-    out = refine([a, b], cloud, loose_cfg(), state)
+    out = refine([a, b], cloud, loose_cfg())
     assert sorted(p.id for p in out) == [0, 1]
 
 
 def test_contrasting_intensity_blocks_the_merge():
     rng = np.random.default_rng(68)
-    cloud, state, a, b = two_abutting_patches(rng, intensities=(0.2, 0.9))
-    out = refine([a, b], cloud, loose_cfg(), state)
+    cloud, a, b = two_abutting_patches(rng, intensities=(0.2, 0.9))
+    out = refine([a, b], cloud, loose_cfg())
     assert sorted(p.id for p in out) == [0, 1]
 
 
@@ -197,7 +197,7 @@ def test_anti_parallel_normals_still_merge():
     b = Patch(1, plane_b, build_hull(plane_b, pts_b), list(range(40, 80)),
               GammaParams(2.0, 1e-6), flat_pair(0.5), 1.0)
     assert float(np.dot(a.plane.normal, b.plane.normal)) <= -0.98
-    out = refine([a, b], cloud, loose_cfg(), None)
+    out = refine([a, b], cloud, loose_cfg())
     assert len(out) == 1
 
 
@@ -206,8 +206,8 @@ def test_anti_parallel_normals_still_merge():
 
 def test_merged_patch_satisfies_patch_invariants():
     rng = np.random.default_rng(70)
-    cloud, state, a, b = two_abutting_patches(rng)
-    merged = refine([a, b], cloud, loose_cfg(), state)[0]
+    cloud, a, b = two_abutting_patches(rng)
+    merged = refine([a, b], cloud, loose_cfg())[0]
     assert np.linalg.norm(merged.plane.implicit[:3]) == pytest.approx(1.0, rel=1e-12)
     assert hull_is_convex(merged.hull)
     assert merged.theta.shape > 0 and merged.theta.scale > 0
@@ -220,12 +220,12 @@ def test_merged_patch_satisfies_patch_invariants():
 def test_merged_plane_matches_batch_refit_oracle():
     rng = np.random.default_rng(71)
     for trial in range(10):
-        cloud, state, a, b = two_abutting_patches(rng)
+        cloud, a, b = two_abutting_patches(rng)
         jitter = rng.normal(0.0, 1e-4, len(cloud))
         cloud.positions[:, 2] += jitter
         a = make_patch(0, cloud, range(40))
         b = make_patch(1, cloud, range(40, 80))
-        merged = refine([a, b], cloud, loose_cfg(), None)[0]
+        merged = refine([a, b], cloud, loose_cfg())[0]
         coeffs = oracles.lstsq_plane(cloud.positions, merged.plane.form.value)
         assert np.allclose(merged.plane.coeffs, coeffs, rtol=1e-9, atol=1e-12)
 
@@ -240,15 +240,12 @@ def test_assigned_count_never_increases():
         ]
     )
     cloud = make_cloud(pts)
-    state = PointState(len(cloud))
     a = make_patch(0, cloud, range(40))
     b = make_patch(1, cloud, range(40, 80))
     runt = make_patch(2, cloud, range(80, 84))
-    for p in (a, b, runt):
-        state.assign(p.members, p.id)
-    before = int(np.sum(state.assigned_to >= 0))
-    out = refine([a, b, runt], cloud, loose_cfg(min_members=10), state)
-    after = int(np.sum(state.assigned_to >= 0))
+    before = int(np.sum(member_labels([a, b, runt], len(cloud)) >= 0))
+    out = refine([a, b, runt], cloud, loose_cfg(min_members=10))
+    after = int(np.sum(member_labels(out, len(cloud)) >= 0))
     assert after <= before
     assert after == sum(len(p.members) for p in out)
 
@@ -271,7 +268,7 @@ def test_refine_is_deterministic_and_order_independent():
         ]
         rng2 = np.random.default_rng(order_seed)
         rng2.shuffle(patches)
-        return refine(patches, cloud, loose_cfg(), None)
+        return refine(patches, cloud, loose_cfg())
 
     runs = [build(s) for s in (0, 1, 2)]
     keys = [[(p.id, tuple(sorted(p.members))) for p in out] for out in runs]
@@ -284,9 +281,52 @@ def test_chain_merging_absorbs_a_whole_row():
     blocks = [rect_points(rng, k, k + 1.0, 0, 1) for k in range(4)]
     cloud = make_cloud(np.vstack(blocks))
     patches = [make_patch(k, cloud, range(40 * k, 40 * (k + 1))) for k in range(4)]
-    out = refine(patches, cloud, loose_cfg(), None)
+    out = refine(patches, cloud, loose_cfg())
     assert len(out) == 1
     assert sorted(out[0].members) == list(range(160))
+
+
+# -- verification -------------------------------------------------------------
+
+
+def test_verification_returns_the_member_labels():
+    rng = np.random.default_rng(77)
+    cloud, a, b = two_abutting_patches(rng)
+    assert np.array_equal(verify_extraction([a, b], cloud), np.repeat([0, 1], 40))
+
+
+def test_verification_names_a_point_two_patches_list():
+    rng = np.random.default_rng(78)
+    cloud, a, b = two_abutting_patches(rng)
+    b.members = np.append(b.members, 7)
+    with pytest.raises(PipelineError, match="point 7 is listed twice"):
+        verify_extraction([a, b], cloud)
+
+
+def test_verification_names_a_point_one_patch_lists_twice():
+    rng = np.random.default_rng(79)
+    cloud, a, b = two_abutting_patches(rng)
+    a.members = np.append(a.members, 12)
+    with pytest.raises(PipelineError, match="point 12 is listed twice"):
+        verify_extraction([a, b], cloud)
+
+
+def test_verification_names_a_patch_with_members_past_the_cloud():
+    rng = np.random.default_rng(80)
+    cloud, a, b = two_abutting_patches(rng)
+    b.members = np.append(b.members, len(cloud))
+    with pytest.raises(PipelineError, match="patch 1 has members outside the 80 points"):
+        verify_extraction([a, b], cloud)
+
+
+def test_verification_rejects_a_non_convex_hull():
+    rng = np.random.default_rng(81)
+    cloud, a, b = two_abutting_patches(rng)
+    # a dart on a's plane z = 0: the vertex (0.5, 0.2) is reflex
+    dart = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0.5, 0.2, 0], [0, 1, 0]])
+    a.hull = hull_from_vertices(a.plane, dart)
+    with pytest.raises(PipelineError, match="patch 0 hull is not convex"):
+        verify_extraction([a, b], cloud)
 
 
 # -- hull area ----------------------------------------------------------------

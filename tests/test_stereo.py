@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stereopatch import stereo, synth
-from stereopatch.distributions import WeibullParams, gamma_mle, weibull_log_pdf
+from stereopatch.distributions import WeibullParams, gamma_mle
 from stereopatch.growing import _image_prior
 from stereopatch.stereo import (
     EllipsePrior,
@@ -352,7 +352,7 @@ def test_weibull_fits_uncertainty_at_least_as_well_as_gamma(two_plane_scene):
         else calibrate_noise_model(cloud, rig)
     )
     gfit = gamma_mle(samples)
-    w_ll = float(np.sum(weibull_log_pdf(samples, wfit)))
+    w_ll = float(np.sum(oracles.ref_weibull_logpdf(samples, wfit.shape, wfit.scale)))
     g_ll = float(np.sum(oracles.ref_gamma_logpdf(samples, gfit.shape, gfit.scale)))
     assert w_ll >= g_ll - 1e-3 * len(samples)
 
