@@ -34,7 +34,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import geometry
 from .distributions import GammaParams, gamma_mle
@@ -95,9 +94,6 @@ class PointState:
 
     def __init__(self, n_points: int) -> None:
         self.assigned_to = np.full(n_points, -1, dtype=int)
-
-    def __len__(self) -> int:
-        return len(self.assigned_to)
 
     def assign(self, indices, patch_id: int) -> None:
         idx = np.asarray(indices, dtype=int)
@@ -256,7 +252,7 @@ class PatchStack:
         self.shape[j] = a
         self.scale[j] = b
         # the Gamma normalization -a*log(b) - log(Gamma(a)) and the ellipse moment term
-        self.log_const[j] = -a * np.log(b) - gammaln(a) - self.half_log_moments[j]
+        self.log_const[j] = -a * np.log(b) - math.lgamma(a) - self.half_log_moments[j]
         self.hulls.set(j, patch.hull)
 
     def scores(self, rows: np.ndarray) -> np.ndarray:

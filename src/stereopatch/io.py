@@ -381,7 +381,8 @@ def save_patches(path, doc: ExtractionDocument) -> None:
 
 def load_patches(path) -> ExtractionDocument:
     """Read a patches file.  Patch ids must be distinct and non-negative, because
-    labels use -1 for a point in no patch and are keyed by patch id."""
+    labels use -1 for a point in no patch and are keyed by patch id.  Unassigned
+    indices must be distinct, non-negative and no patch's member."""
     doc = _load_json(path, "patches")
     patches = []
     for entry in _items(doc, path, "patches"):
@@ -430,9 +431,19 @@ def load_patches(path) -> ExtractionDocument:
     try:
         if not isinstance(truncated, bool):
             raise ValueError(f"truncated must be true or false, not {truncated!r}")
+        indices = [_int(i, "unassigned index") for i in unassigned]
+        values, counts = np.unique(np.array(indices, int), return_counts=True)
+        if len(values) and values[0] < 0:
+            raise ValueError(f"negative unassigned index {values[0]}")
+        if np.any(counts > 1):
+            raise ValueError(f"unassigned index {values[counts > 1][0]} is listed twice")
+        for patch in patches:
+            taken = np.intersect1d(values, patch.members)
+            if len(taken):
+                raise ValueError(f"unassigned index {taken[0]} is a member of patch {patch.id}")
         return ExtractionDocument(
             patches,
-            [_int(i, "unassigned index") for i in unassigned],
+            indices,
             str(doc.get("scene_id", "")),
             _int(epochs, "epochs"),
             truncated,

@@ -12,7 +12,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import geometry
 from .distributions import GammaParams, gamma_sum_approx
@@ -102,75 +101,10 @@ def segment_to_pairs(
     return pairs
 
 
-def naive_segment(
-    image: np.ndarray,
-    view: str = "left",
-    max_segments: int = 32,
-    levels: int = 16,
-    min_frac: float = 0.001,
-) -> list[EllipsePrior]:
-    """Quick-and-dirty segmenter: connected components of quantized intensity.
-
-    Intended for bootstrapping on synthetic or very clean imagery, not as a
-    real segmentation front end.  Components covering less than ``min_frac``
-    of the image are discarded; the rest become ellipses via their pixel
-    centroid and second central moments, largest first.
-    """
-    img = np.asarray(image, float)
-    if img.ndim != 2:
-        raise ValueError("image must be 2D")
-    if np.any(img < 0) or np.any(img > 1):
-        raise ValueError("intensities must lie in [0, 1]")
-    quant = np.clip((img * levels).astype(int), 0, levels - 1)
-    min_pixels = max(int(min_frac * img.size), 1)
-    found: list[tuple[int, EllipsePrior]] = []
-    for level in range(levels):
-        mask = quant == level
-        if not mask.any():
-            continue
-        labelled, n_comp = ndimage.label(mask)
-        for comp in range(1, n_comp + 1):
-            rows, cols = np.nonzero(labelled == comp)
-            if len(rows) < min_pixels:
-                continue
-            cx = float(np.mean(cols))
-            cy = float(np.mean(rows))
-            xx = float(np.mean((cols - cx) ** 2))
-            yy = float(np.mean((rows - cy) ** 2))
-            xy = float(np.mean((cols - cx) * (rows - cy)))
-            if xx <= 0 or yy <= 0 or xx * yy - xy * xy <= 0:
-                continue  # degenerate (line-like) component
-            intensity = float(np.mean(img[rows, cols]))
-            found.append(
-                (
-                    len(rows),
-                    EllipsePrior(np.array([cx, cy]), np.array([xx, xy, yy]), intensity, view),
-                )
-            )
-    found.sort(key=lambda item: -item[0])
-    return [e for _, e in found[:max_segments]]
-
-
 def _area_key(seg: EllipsePrior) -> float:
     """Square root of the segment's moment determinant, which grows with its area."""
     xx, xy, yy = seg.inertia
     return float(np.sqrt(max(xx * yy - xy * xy, 0.0)))
-
-
-def pair_segments_by_rank(
-    left_segments: list[EllipsePrior], right_segments: list[EllipsePrior]
-) -> list[tuple[EllipsePrior, EllipsePrior]]:
-    """Pair segments across views by area rank, as (left, right) segment tuples.
-
-    This is a crude stand-in for real correspondence matching and is only
-    reliable when both views see the same segments at similar scales.
-    """
-    return list(
-        zip(
-            sorted(left_segments, key=_area_key, reverse=True),
-            sorted(right_segments, key=_area_key, reverse=True),
-        )
-    )
 
 
 def _fallback_theta(

@@ -218,7 +218,7 @@ def noise_model_offset(model: WeibullParams) -> float:
     return model.shape * float(np.log(model.scale)) - float(np.log(model.shape))
 
 
-def noise_penalty(values, model: WeibullParams):
+def noise_penalty(values, model: WeibullParams) -> np.ndarray:
     """Per-point classification penalty (d/lam)^k - (k-1)*log(d), d clamped >= 1e-12.
 
     Infinite uncertainties stay infinite, which bars the point from ever
@@ -228,8 +228,7 @@ def noise_penalty(values, model: WeibullParams):
     clamped = np.maximum(x, _DIST_CLAMP)
     with np.errstate(over="ignore"):
         out = (clamped / model.scale) ** model.shape - (model.shape - 1.0) * np.log(clamped)
-    out = np.where(np.isinf(x), np.inf, out)
-    return float(out) if np.isscalar(values) else out
+    return np.where(np.isinf(x), np.inf, out)
 
 
 def attach_penalty(cloud: PointCloud, model: WeibullParams) -> np.ndarray:

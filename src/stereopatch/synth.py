@@ -225,7 +225,10 @@ def build_faces(spec: SceneSpec) -> list[Face]:
 
 @dataclass
 class GroundTruth:
-    """Per-face planes and per-point provenance for a generated cloud."""
+    """Per-face planes and per-point provenance for a generated cloud.
+
+    Each label is a face index, or -1 for a point on no face.
+    """
 
     faces: list[Face]
     coeffs: np.ndarray
@@ -239,6 +242,9 @@ class GroundTruth:
         self.positions = np.asarray(self.positions, float).reshape(-1, 3)
         if len(self.labels) != len(self.positions):
             raise ValueError("labels and positions must align")
+        bad = self.labels[(self.labels < -1) | (self.labels >= len(self.faces))]
+        if len(bad):
+            raise ValueError(f"label {bad[0]} lies outside [-1, {len(self.faces)})")
 
 
 def polygon_moments_2d(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -327,13 +327,3 @@ def montecarlo_polygon_moments(verts2d, n=400_000, seed=0):
     d = kept - c
     cov = d.T @ d / len(kept)
     return c, cov
-
-
-def discrete_image_moments(image, label):
-    """Centroid and central second moments of one labelled image region."""
-    ys, xs = np.nonzero(image == label)
-    pts = np.column_stack([xs, ys]).astype(float)
-    c = pts.mean(axis=0)
-    d = pts - c
-    cov = d.T @ d / len(pts)
-    return c, cov

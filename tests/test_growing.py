@@ -160,10 +160,12 @@ def expected_log_const(theta, pair):
 
 
 def test_cached_constant_matches_its_definition():
-    patch, rig = square_patch(theta=GammaParams(3.2, 0.7))
-    stack = PatchStack([patch], patch.hull.vertices, rig)
-    expect = expected_log_const(patch.theta, patch.pair)
-    assert stack.log_const[0] == pytest.approx(expect, rel=1e-12)
+    # log Gamma vanishes at shapes 1 and 2
+    for shape in (0.05, 1.0, 2.0, 3.2, 50.0):
+        patch, rig = square_patch(theta=GammaParams(shape, 0.7))
+        stack = PatchStack([patch], patch.hull.vertices, rig)
+        expect = expected_log_const(patch.theta, patch.pair)
+        assert stack.log_const[0] == pytest.approx(expect, rel=1e-12, abs=1e-12), shape
 
 
 def test_score_at_a_hull_vertex_under_centred_ellipses():

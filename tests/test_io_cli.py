@@ -478,6 +478,8 @@ def _set(*keys_and_value):
         pytest.param("cameras.json", _set("image_size", [800.7, 600]), id="fractional-image-size"),
         pytest.param("gt.json", _set("labels", 7, 1.7), id="fractional-label"),
         pytest.param("gt.json", _set("labels", 0, False), id="boolean-label"),
+        pytest.param("gt.json", _set("labels", 7, 2), id="label-past-the-faces"),
+        pytest.param("gt.json", _set("labels", 0, -2), id="label-below-minus-one"),
         pytest.param(
             "patches.json", _set("patches", 0, "members", [0.9, 1.5, 2.7, 3.2]),
             id="fractional-members",
@@ -485,6 +487,9 @@ def _set(*keys_and_value):
         pytest.param("patches.json", _set("patches", 1, "id", 1.5), id="fractional-id"),
         pytest.param("patches.json", _set("patches", 0, "n_points", 4.5), id="fractional-n-points"),
         pytest.param("patches.json", _set("unassigned", [0.5]), id="fractional-unassigned"),
+        pytest.param("patches.json", _set("unassigned", [-1]), id="negative-unassigned"),
+        pytest.param("patches.json", _set("unassigned", [9, 9]), id="unassigned-listed-twice"),
+        pytest.param("patches.json", _set("unassigned", [3]), id="unassigned-member"),
         pytest.param("patches.json", _set("epochs", 1.5), id="fractional-epochs"),
         pytest.param("patches.json", _set("accepted", True), id="boolean-accepted"),
         pytest.param("patches.json", _set("truncated", "no"), id="string-truncated"),
@@ -798,20 +803,32 @@ def test_module_entry_point_prints_usage():
     assert "extract" in proc.stdout and "synth" in proc.stdout
 
 
-def test_importing_the_cli_leaves_scipy_spatial_and_optimize_unloaded():
-    # Each would add memory and start-up time to every command (scipy.spatial
-    # about 11 MB and 0.14 s, scipy.optimize about 23 MB): the extraction
-    # benchmark's peak_rss_mb would see it.  synth imports
-    # linear_sum_assignment inside the one function that needs it.
+def test_importing_the_cli_leaves_scipy_spatial_and_optimize_unloaded(tmp_path):
+    # Any scipy module adds memory and start-up time to every command (scipy.special
+    # or scipy.ndimage alone about 0.35 s and 26 MB): the extraction benchmark's
+    # peak_rss_mb would see it.  synth imports linear_sum_assignment inside
+    # the one function that needs it, which only eval and sweep call.
     import subprocess
     import sys
 
     code = (
         "import sys, stereopatch.cli\n"
-        "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize') if m in sys.modules))"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "after_import = loaded()\n"
+        "scene, out = sys.argv[1:]\n"
+        "synth = ['synth', '--preset', 'path', '--points-per-face', '300', '--out-dir', scene]\n"
+        "extract = ['extract', '--cloud', scene + '/cloud.ply', '--cameras', scene + '/cameras.json',\n"
+        "           '--segments', scene + '/segments.json', '--out-dir', out]\n"
+        "codes = [stereopatch.cli.main(synth), stereopatch.cli.main(extract)]\n"
+        "print(codes, after_import, loaded())"
     )
+    out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, str(tmp_path / "scene"), str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0] [] []"
+    assert (out / "patches.json").exists()

@@ -1,4 +1,4 @@
-"""Segment pairing, the fallback image segmenter, and seed-patch construction."""
+"""Segment pairing and seed-patch construction."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,11 @@ from stereopatch.seeding import (
     SeedConfig,
     SeedRejection,
     SegmentPair,
-    naive_segment,
-    pair_segments_by_rank,
     seed_all,
     seed_patch,
     segment_to_pairs,
 )
 from stereopatch.stereo import EllipsePrior, PointCloud, project_many
-
-import oracles
 
 
 def circle_ellipse(centroid, intensity=0.5, view="left"):
@@ -78,59 +74,6 @@ def test_non_positive_radius_fraction_is_rejected(frac):
     # a negative fraction would square into the same sphere as its absolute value
     with pytest.raises(ValueError, match="radius fraction must be positive"):
         SeedConfig(radius_frac=frac)
-
-
-def test_rank_pairing_matches_by_area_order():
-    big_l = EllipsePrior(np.array([10.0, 10.0]), np.array([9.0, 0.0, 9.0]), 0.5)
-    small_l = EllipsePrior(np.array([40.0, 10.0]), np.array([1.0, 0.0, 1.0]), 0.5)
-    big_r = EllipsePrior(np.array([12.0, 10.0]), np.array([8.5, 0.0, 9.5]), 0.5, "right")
-    small_r = EllipsePrior(np.array([42.0, 10.0]), np.array([1.1, 0.0, 0.9]), 0.5, "right")
-    matches = pair_segments_by_rank([small_l, big_l], [big_r, small_r])
-    assert matches == [(big_l, big_r), (small_l, small_r)]
-
-
-# -- fallback segmenter -------------------------------------------------------
-
-
-def test_uniform_image_is_one_segment():
-    image = np.full((60, 80), 0.5)
-    segments = naive_segment(image)
-    assert len(segments) == 1
-    assert segments[0].centroid == pytest.approx([39.5, 29.5], abs=1.0)
-
-
-def test_filled_ellipse_moments_are_recovered():
-    h, w = 240, 320
-    yy, xx = np.mgrid[0:h, 0:w]
-    a, b = 70.0, 35.0
-    cx, cy = 160.0, 120.0
-    inside = ((xx - cx) / a) ** 2 + ((yy - cy) / b) ** 2 <= 1.0
-    image = np.where(inside, 0.9, 0.1)
-    segments = naive_segment(image)
-    bright = [s for s in segments if s.mean_intensity > 0.5]
-    assert len(bright) == 1
-    e = bright[0]
-    assert e.centroid == pytest.approx([cx, cy], abs=1.0)
-    # Uniform-fill ellipse second moments: a^2/4 and b^2/4, zero cross term.
-    assert e.inertia[0] == pytest.approx(a**2 / 4.0, rel=0.05)
-    assert e.inertia[2] == pytest.approx(b**2 / 4.0, rel=0.05)
-    assert abs(e.inertia[1]) <= 0.05 * (a**2 / 4.0)
-    # Cross-check against the discrete pixel moments of the same mask.
-    c, cov = oracles.discrete_image_moments(inside.astype(int), 1)
-    assert e.centroid == pytest.approx(c, abs=0.5)
-    assert e.inertia[0] == pytest.approx(cov[0, 0], rel=0.02)
-    assert e.inertia[2] == pytest.approx(cov[1, 1], rel=0.02)
-
-
-def test_two_squares_become_two_segments():
-    image = np.full((80, 100), 0.1)
-    image[10:30, 10:30] = 0.6
-    image[45:65, 60:80] = 0.9
-    segments = naive_segment(image)
-    mids = {round(s.mean_intensity, 1): s for s in segments}
-    assert 0.6 in mids and 0.9 in mids
-    assert mids[0.6].centroid == pytest.approx([19.5, 19.5], abs=0.5)
-    assert mids[0.9].centroid == pytest.approx([69.5, 54.5], abs=0.5)
 
 
 # -- seed patches -------------------------------------------------------------
