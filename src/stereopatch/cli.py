@@ -63,7 +63,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     doc = io.ExtractionDocument(
         result.patches,
-        np.flatnonzero(result.labels < 0).tolist(),
+        len(cloud),
         scene_id,
         result.grow_result.epochs,
         result.grow_result.truncated,
@@ -71,19 +71,20 @@ def cmd_extract(args: argparse.Namespace) -> int:
     )
     io.save_patches(out / "patches.json", doc)
     io.save_cloud(out / "labeled.ply", cloud, result.labels, scene_id, binary=args.binary)
-    report = _extract_report(doc, len(cloud), len(result.seed_rejections))
+    report = _extract_report(doc, len(result.seed_rejections))
     (out / "report.txt").write_text(report)
     print(report, end="")
     return 0
 
 
-def _extract_report(doc: io.ExtractionDocument, n_points: int, n_rejected_seeds: int) -> str:
+def _extract_report(doc: io.ExtractionDocument, n_rejected_seeds: int) -> str:
+    unassigned = len(doc.unassigned)
     lines = [
         "extraction report",
         f"scene: {doc.scene_id or 'unknown'}",
-        f"points: {n_points}",
-        f"assigned: {n_points - len(doc.unassigned)}",
-        f"unassigned: {len(doc.unassigned)}",
+        f"points: {doc.n_points}",
+        f"assigned: {doc.n_points - unassigned}",
+        f"unassigned: {unassigned}",
         f"patches: {len(doc.patches)}",
         f"epochs: {doc.epochs}",
         f"accepted: {doc.accepted}",
@@ -156,6 +157,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gt = io.load_ground_truth(args.gt)
     doc = io.load_patches(args.patches)
     _check_same_scene(gt.scene_id, doc.scene_id)
+    if doc.n_points != len(gt.labels):
+        raise io.InputError(
+            f"{args.patches}: n_points {doc.n_points} differs from the ground truth's "
+            f"{len(gt.labels)} points"
+        )
     try:
         report = synth.ssd_error(gt, doc.patches)
         class_error = synth.classification_error(gt, doc.patches)

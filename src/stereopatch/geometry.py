@@ -46,15 +46,15 @@ class Plane:
 
     ``coeffs`` is (u, v, d) with the meaning fixed by ``form`` (see
     ``_FORM_AXES``).  ``implicit`` is (A, B, C, D) with A^2+B^2+C^2 = 1.
-    ``sums`` holds the nine running sums of the normal equations so the fit
-    can absorb new points without touching old ones.
+    ``sums`` holds the nine running sums of the normal equations, the point
+    count ``sums[5]`` among them, so the fit can absorb new points without
+    touching old ones.
     """
 
     form: PlaneForm
     coeffs: np.ndarray
     implicit: np.ndarray
     sums: np.ndarray
-    n_points: int
 
     @property
     def normal(self) -> np.ndarray:
@@ -152,7 +152,7 @@ def fit_plane(points: np.ndarray, form: PlaneForm) -> Plane:
         raise ValueError("rank-deficient fit")
     sums = _accumulate(pts, form)
     coeffs = _solve_sums(sums)
-    return Plane(form, coeffs, _to_implicit(form, coeffs), sums, len(pts))
+    return Plane(form, coeffs, _to_implicit(form, coeffs), sums)
 
 
 def update_fit_many(plane: Plane, points: np.ndarray) -> Plane:
@@ -162,7 +162,7 @@ def update_fit_many(plane: Plane, points: np.ndarray) -> Plane:
         return plane
     sums = plane.sums + _accumulate(pts, plane.form)
     coeffs = _solve_sums(sums)
-    return Plane(plane.form, coeffs, _to_implicit(plane.form, coeffs), sums, plane.n_points + len(pts))
+    return Plane(plane.form, coeffs, _to_implicit(plane.form, coeffs), sums)
 
 
 def fit_residuals(plane: Plane, points: np.ndarray) -> np.ndarray:

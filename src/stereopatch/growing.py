@@ -3,14 +3,15 @@
 Each patch carries a plane fit, a convex boundary hull, Gamma parameters
 over its members' point-to-patch distances, and its members as an int array
 in acceptance order; that array is the one record of membership, and
-``member_labels`` derives each point's patch id from it.  Each epoch serves
-the unassigned points nearest-camera-first; a point joins the patch with the
-highest log posterior provided that posterior clears a per-point threshold
-built from the global acceptance level and the point's noise penalty.
-Rejected points are retried in the next epoch, after the patches have grown.
-An accept folds the points into the plane's running sums, grows the hull from
-the members at its vertices and the accepted points alone, and refits the
-Gamma parameters over every member.
+``member_labels`` derives each point's patch id from it.  Seeding and growth
+claim points in the int array ``assigned_to`` (patch id, or -1 while free).
+Each epoch serves the unassigned points nearest-camera-first; a point joins
+the patch with the highest log posterior provided that posterior clears a
+per-point threshold built from the global acceptance level and the point's
+noise penalty.  Rejected points are retried in the next epoch, after the
+patches have grown.  An accept folds the points into the plane's running
+sums, grows the hull from the members at its vertices and the accepted points
+alone, and refits the Gamma parameters over every member.
 
 The joint distance has one implementation, ``_joint_distance``, which the
 classifier scores with.  Inside a hull it is (1 + w) times the plane term, so
@@ -87,25 +88,6 @@ class GrowConfig:
             raise ValueError("batch size must be at least 1")
         if self.max_epochs < 1:
             raise ValueError("max epochs must be at least 1")
-
-
-class PointState:
-    """Which points seeding and growth have handed out, guarding against a second claim."""
-
-    def __init__(self, n_points: int) -> None:
-        self.assigned_to = np.full(n_points, -1, dtype=int)
-
-    def assign(self, indices, patch_id: int) -> None:
-        idx = np.asarray(indices, dtype=int)
-        if np.any(self.assigned_to[idx] >= 0):
-            raise ValueError("point already assigned")
-        self.assigned_to[idx] = patch_id
-
-    def available_mask(self) -> np.ndarray:
-        return self.assigned_to < 0
-
-    def available_indices(self) -> np.ndarray:
-        return np.where(self.assigned_to < 0)[0]
 
 
 @dataclass
@@ -300,8 +282,9 @@ def classify_batch(
     return [patches[col].id if good else None for col, good in zip(best_col, ok)]
 
 
-def accept(patch: Patch, cloud: PointCloud, state: PointState, indices) -> None:
-    """Fold accepted points into the patch and refresh its statistics.
+def accept(patch: Patch, cloud: PointCloud, assigned_to: np.ndarray, indices) -> None:
+    """Claim points in ``assigned_to``, fold them into the patch, and refresh
+    its statistics; a point already claimed raises ValueError first.
 
     The plane absorbs the new points through its running sums, the hull is
     rebuilt from the members at its vertices and the new points on the
@@ -311,32 +294,42 @@ def accept(patch: Patch, cloud: PointCloud, state: PointState, indices) -> None:
     idx = np.asarray(indices, dtype=int).ravel()
     if len(idx) == 0:
         return
+    if np.any(assigned_to[idx] >= 0):
+        raise ValueError("point already assigned")
     new_pts = cloud.positions[idx]
     patch.plane = geometry.update_fit_many(patch.plane, new_pts)
     patch.members = np.concatenate([patch.members, idx])
     patch.hull = geometry.update_hull(patch.hull, patch.plane, new_pts)
-    state.assign(idx, patch.id)
+    assigned_to[idx] = patch.id
     patch.refit(cloud.positions[patch.members])
 
 
-def member_labels(patches: list[Patch], n_points: int) -> np.ndarray:
-    """Each point's patch id, or -1 for a point in no patch, read off the member arrays.
+def check_members(patches: list[Patch], n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every patch's members, concatenated, and the id of the patch listing each.
 
     Raises ValueError naming the first patch with members outside the
-    ``n_points`` points, or the lowest point listed twice, whether by one
-    patch or by two.
+    ``n_points`` points, or the lowest point listed twice (by one patch or
+    two).  Needs memory for the members alone, not for ``n_points`` entries.
     """
-    labels = np.full(n_points, -1, dtype=int)
     if not patches:
-        return labels
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
     members = np.concatenate([p.members for p in patches])
     ids = np.repeat([p.id for p in patches], [len(p.members) for p in patches])
     outside = (members < 0) | (members >= n_points)
     if np.any(outside):
         raise ValueError(f"patch {ids[np.argmax(outside)]} has members outside the {n_points} points")
-    twice = np.bincount(members, minlength=n_points) > 1
+    ordered = np.sort(members)
+    twice = ordered[1:] == ordered[:-1]
     if np.any(twice):
-        raise ValueError(f"point {np.argmax(twice)} is listed twice")
+        raise ValueError(f"point {ordered[1:][np.argmax(twice)]} is listed twice")
+    return members, ids
+
+
+def member_labels(patches: list[Patch], n_points: int) -> np.ndarray:
+    """Each point's patch id, or -1 for a point in no patch, read off the member
+    arrays; raises ValueError as ``check_members`` does."""
+    members, ids = check_members(patches, n_points)
+    labels = np.full(n_points, -1, dtype=int)
     labels[members] = ids
     return labels
 
@@ -354,16 +347,16 @@ def grow(
     cloud: PointCloud,
     cfg: GrowConfig,
     rig: StereoRig,
-    state: PointState,
+    assigned_to: np.ndarray,
 ) -> GrowResult:
     """Run the acceptance loop until an epoch makes no progress.
 
     Each epoch serves its points nearest first, by the sum of squared
     distances to the two camera centers (equal sums go to the higher index
     first), so near points are classified while the patches are still small.
-    The first epoch serves every available point; each later one serves the
-    points the one before rejected, in the order they were served.  The loop
-    ends when an epoch accepts nothing, or after ``max_epochs`` (flagged
+    The first epoch serves every point free in ``assigned_to``; each later
+    one serves the points the one before rejected, in the order they were
+    served.  The loop ends when an epoch accepts nothing, or after ``max_epochs`` (flagged
     truncated).  One ``PatchStack`` over the cloud scores every batch, so a
     patch never takes a point its seed pruned (``Patch.pruned``).  Without
     patches nothing can be accepted, and no epoch runs.
@@ -371,7 +364,7 @@ def grow(
     if not patches:
         return GrowResult(patches, 0, False, 0)
     centers = rig.camera_centers()
-    avail = state.available_indices()
+    avail = np.flatnonzero(assigned_to < 0)
     cam_d = np.sum((cloud.positions[avail, None, :] - centers[None, :, :]) ** 2, axis=(1, 2))
     queue = avail[np.lexsort((-avail, cam_d))]
 
@@ -388,7 +381,7 @@ def grow(
             decisions = classify_batch(patches, cloud, batch, cfg, rig, stack)
             rejected.append(batch[[d is None for d in decisions]])
             for pid in sorted({d for d in decisions if d is not None}):
-                accept(patches_by_id[pid], cloud, state, batch[[d == pid for d in decisions]])
+                accept(patches_by_id[pid], cloud, assigned_to, batch[[d == pid for d in decisions]])
                 stack.refresh(pid)
         rejected = np.concatenate(rejected)
         epochs += 1

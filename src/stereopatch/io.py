@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import GammaParams, WeibullParams
 from .geometry import Plane, PlaneForm, hull_from_vertices
-from .growing import Patch
+from .growing import Patch, check_members, member_labels
 from .stereo import EllipsePrior, PointCloud, StereoRig
 from .synth import Face, GroundTruth
 
@@ -333,14 +333,19 @@ class _RestoredPair:
 
 @dataclass
 class ExtractionDocument:
-    """Everything a patches file carries besides the patches themselves."""
+    """A patches file: the patches, the cloud's point count and the growth counts."""
 
     patches: list[Patch]
-    unassigned: list[int]
+    n_points: int
     scene_id: str
     epochs: int
     truncated: bool
     accepted: int
+
+    @property
+    def unassigned(self) -> list[int]:
+        """The points in no patch, read off the member arrays."""
+        return np.flatnonzero(member_labels(self.patches, self.n_points) < 0).tolist()
 
 
 def save_patches(path, doc: ExtractionDocument) -> None:
@@ -353,7 +358,6 @@ def save_patches(path, doc: ExtractionDocument) -> None:
                 "coeffs": patch.plane.coeffs.tolist(),
                 "implicit": patch.plane.implicit.tolist(),
                 "sums": patch.plane.sums.tolist(),
-                "n_points": patch.plane.n_points,
                 "hull_vertices": patch.hull.vertices.tolist(),
                 "members": patch.members.tolist(),
                 "theta": {"shape": patch.theta.shape, "scale": patch.theta.scale},
@@ -371,7 +375,7 @@ def save_patches(path, doc: ExtractionDocument) -> None:
             "kind": "patches",
             "scene_id": doc.scene_id,
             "patches": entries,
-            "unassigned": doc.unassigned,
+            "n_points": doc.n_points,
             "epochs": doc.epochs,
             "truncated": doc.truncated,
             "accepted": doc.accepted,
@@ -381,8 +385,8 @@ def save_patches(path, doc: ExtractionDocument) -> None:
 
 def load_patches(path) -> ExtractionDocument:
     """Read a patches file.  Patch ids must be distinct and non-negative, because
-    labels use -1 for a point in no patch and are keyed by patch id.  Unassigned
-    indices must be distinct, non-negative and no patch's member."""
+    labels use -1 for a point in no patch and are keyed by patch id, and the
+    members must be distinct points below ``n_points``."""
     doc = _load_json(path, "patches")
     patches = []
     for entry in _items(doc, path, "patches"):
@@ -396,13 +400,10 @@ def load_patches(path) -> ExtractionDocument:
                 np.asarray(_field(entry, path, "coeffs"), float),
                 np.asarray(_field(entry, path, "implicit"), float),
                 np.asarray(_field(entry, path, "sums"), float),
-                _int(_field(entry, path, "n_points"), "n_points"),
             )
             hull = hull_from_vertices(plane, np.asarray(_field(entry, path, "hull_vertices"), float))
             theta_doc = _field(entry, path, "theta")
             members = np.array([_int(i, "member") for i in _items(entry, path, "members")], int)
-            if np.any(members < 0):
-                raise ValueError(f"negative member index {members.min()}")
             pid = _int(_field(entry, path, "id"), "id")
             if pid < 0:
                 raise ValueError(f"negative patch id {pid}")
@@ -426,24 +427,17 @@ def load_patches(path) -> ExtractionDocument:
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"{path}: bad patch entry: {exc}") from None
         patches.append(patch)
-    unassigned = _items(doc, path, "unassigned")
-    epochs, truncated, accepted = (_field(doc, path, k) for k in ("epochs", "truncated", "accepted"))
+    keys = ("n_points", "epochs", "truncated", "accepted")
+    n_points, epochs, truncated, accepted = (_field(doc, path, k) for k in keys)
     try:
         if not isinstance(truncated, bool):
             raise ValueError(f"truncated must be true or false, not {truncated!r}")
-        indices = [_int(i, "unassigned index") for i in unassigned]
-        values, counts = np.unique(np.array(indices, int), return_counts=True)
-        if len(values) and values[0] < 0:
-            raise ValueError(f"negative unassigned index {values[0]}")
-        if np.any(counts > 1):
-            raise ValueError(f"unassigned index {values[counts > 1][0]} is listed twice")
-        for patch in patches:
-            taken = np.intersect1d(values, patch.members)
-            if len(taken):
-                raise ValueError(f"unassigned index {taken[0]} is a member of patch {patch.id}")
+        if _int(n_points, "n_points") < 0:
+            raise ValueError(f"negative n_points {n_points}")
+        check_members(patches, n_points)
         return ExtractionDocument(
             patches,
-            indices,
+            n_points,
             str(doc.get("scene_id", "")),
             _int(epochs, "epochs"),
             truncated,

@@ -124,7 +124,7 @@ def run_pipeline(
     if not pairs:
         raise PipelineError("no segment pair triangulates")
 
-    patches, state, rejections = seed_all(
+    patches, assigned_to, rejections = seed_all(
         pairs,
         cloud,
         cfg.seed_cfg,
@@ -134,7 +134,7 @@ def run_pipeline(
     if not patches:
         raise PipelineError("no surviving seeds")
 
-    grow_result = grow(patches, cloud, cfg.grow_cfg, rig, state)
+    grow_result = grow(patches, cloud, cfg.grow_cfg, rig, assigned_to)
 
     refine_cfg = cfg.refine_cfg.resolved(cloud, cfg.seed_cfg.resolve_radius(cloud))
     final = refine(grow_result.patches, cloud, refine_cfg)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry
 from .distributions import GammaParams, gamma_sum_approx
-from .growing import Patch, PointState, _check_config
+from .growing import Patch, _check_config
 from .stereo import _DIST_CLAMP, EllipsePrior, PointCloud, StereoRig, triangulate_many
 
 logger = logging.getLogger(__name__)
@@ -38,7 +38,8 @@ class SeedConfig:
     """Seed gathering parameters.
 
     ``radius`` is the seed-sphere radius in world units; when None it is
-    resolved to ``radius_frac`` times the cloud bounding-box diagonal.
+    resolved to ``radius_frac`` times the cloud bounding-box diagonal, and
+    ``seed_patch`` widens that on sparse data, up to twice its length.
     ``inlier_residual`` (squared) defaults to nine times the squared median
     absolute residual of the initial fit, floored at fit precision.
     """
@@ -131,22 +132,29 @@ def seed_patch(
     pair: SegmentPair,
     cloud: PointCloud,
     cfg: SeedConfig,
-    state: PointState,
+    assigned_to: np.ndarray,
     patch_id: int,
     boundary_weight: float = 1.0,
     intensity_weight: float = 1.0,
 ) -> Patch | SeedRejection:
-    """Grow one seed sphere into an initial patch.
+    """Grow one seed sphere into an initial patch, claiming its members in
+    ``assigned_to`` (each point's patch id, or -1 while free).
 
-    Returns a SeedRejection (reason "sparse seed" or "degenerate seed")
-    instead of raising when the cluster is unusable.  The outliers excluded
-    by the residual prune are kept on the patch as ``Patch.pruned``, and
-    growth never offers them to this patch again (other patches may take
-    them).
+    The sphere holds the free points within the resolved radius r0, widened
+    to the ``min_cluster``-th nearest free point, at most to 2 r0.  Returns a SeedRejection (reason
+    "sparse seed" or "degenerate seed") instead of raising when the cluster
+    is unusable.  The outliers excluded by the residual prune are kept on
+    the patch as ``Patch.pruned``, and growth never offers them to this patch
+    again (other patches may take them).
     """
     radius = cfg.resolve_radius(cloud)
+    r2 = radius * radius
     d2 = np.sum((cloud.positions - pair.seed) ** 2, axis=1)
-    cand = np.where(state.available_mask() & (d2 <= radius * radius))[0]
+    free = assigned_to < 0
+    k = cfg.min_cluster - 1
+    if np.count_nonzero(free) > k:
+        r2 = min(max(r2, np.partition(d2[free], k)[k]), 4.0 * r2)
+    cand = np.flatnonzero(free & (d2 <= r2))
     if len(cand) < cfg.min_cluster:
         return SeedRejection("sparse seed", pair)
     pts = cloud.positions[cand]
@@ -189,7 +197,7 @@ def seed_patch(
         pruned=cand[~inliers],
     )
     patch.refit(cloud.positions[members])
-    state.assign(members, patch_id)
+    assigned_to[members] = patch_id
     return patch
 
 
@@ -199,39 +207,35 @@ def seed_all(
     cfg: SeedConfig,
     boundary_weight: float = 1.0,
     intensity_weight: float = 1.0,
-) -> tuple[list[Patch], PointState, list[SeedRejection]]:
+) -> tuple[list[Patch], np.ndarray, list[SeedRejection]]:
     """Seed every segment pair, largest segment first.
 
-    Seeds whose spheres overlap an earlier kept seed by more than the
+    Returns the patches, the claims (``assigned_to``) and the rejections.
+    Seeds whose r0 sphere overlaps an earlier kept seed's by more than the
     configured fraction are dropped as duplicates.  Patch ids are assigned in
     acceptance order, so the returned list is sorted by id.
     """
-    state = PointState(len(cloud))
+    assigned_to = np.full(len(cloud), -1)
     radius = cfg.resolve_radius(cloud)
     order = sorted(range(len(pairs)), key=lambda i: (-_area_key(pairs[i].ellipse_left), i))
-    spheres = [
-        frozenset(
-            np.where(np.sum((cloud.positions - pairs[i].seed) ** 2, axis=1) <= radius * radius)[0]
-        )
-        for i in range(len(pairs))
-    ]
 
     patches: list[Patch] = []
     rejections: list[SeedRejection] = []
-    kept_spheres: list[frozenset] = []
+    kept_spheres: list[np.ndarray] = []
     for i in order:
-        sphere = spheres[i]
-        if sphere and any(
-            len(sphere & kept) > cfg.overlap_drop * len(sphere) for kept in kept_spheres
+        sphere = np.sum((cloud.positions - pairs[i].seed) ** 2, axis=1) <= radius * radius
+        size = np.count_nonzero(sphere)
+        if size and any(
+            np.count_nonzero(sphere & kept) > cfg.overlap_drop * size for kept in kept_spheres
         ):
             rejections.append(SeedRejection("duplicate seed", pairs[i]))
             continue
         result = seed_patch(
-            pairs[i], cloud, cfg, state, len(patches), boundary_weight, intensity_weight
+            pairs[i], cloud, cfg, assigned_to, len(patches), boundary_weight, intensity_weight
         )
         if isinstance(result, Patch):
             patches.append(result)
             kept_spheres.append(sphere)
         else:
             rejections.append(result)
-    return patches, state, rejections
+    return patches, assigned_to, rejections

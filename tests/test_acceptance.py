@@ -26,7 +26,7 @@ from stereopatch.geometry import (
     point_hull_sq_dist_many,
     update_fit_many,
 )
-from stereopatch.growing import Patch, PointState, accept
+from stereopatch.growing import Patch, accept
 from stereopatch.seeding import SeedConfig, seed_patch, segment_to_pairs
 from stereopatch.synth import SceneSpec, coeff_ssd, default_rig, generate
 
@@ -54,12 +54,12 @@ def test_noiseless_seed_fit_recovery():
         cloud, gt, segments = generate(spec, rig)
 
         start = time.perf_counter()
-        state = PointState(len(cloud))
+        assigned_to = np.full(len(cloud), -1)
         pairs = segment_to_pairs(segments, rig)
         assert len(pairs) == len(segments), f"{preset}: a centroid pair failed to triangulate"
         patches = []
         for pid, pair in enumerate(pairs):
-            patch = seed_patch(pair, cloud, SeedConfig(), state, pid)
+            patch = seed_patch(pair, cloud, SeedConfig(), assigned_to, pid)
             assert isinstance(patch, Patch), f"{preset}: face {pid} failed to seed"
             patches.append(patch)
         elapsed = time.perf_counter() - start
@@ -169,13 +169,13 @@ def test_oracle_equivalences():
     # The accept loop against a from-scratch rebuild after every acceptance.
     for seed in (21, 22):
         scene = build_micro(n=900, seed=seed)
-        patch, cloud, state = scene.patch, scene.cloud, scene.state
-        available = state.available_indices()
+        patch, cloud, assigned_to = scene.patch, scene.cloud, scene.assigned_to
+        available = np.flatnonzero(assigned_to < 0)
         order = np.asarray(available)[
             np.argsort(np.sum((cloud.positions[available] - patch.pair.seed) ** 2, axis=1))
         ]
         for idx in order[:110]:
-            accept(patch, cloud, state, [int(idx)])
+            accept(patch, cloud, assigned_to, [int(idx)])
             member_pts = cloud.positions[np.asarray(patch.members)]
             scratch = fit_plane(member_pts, patch.plane.form)
             # Relative error at the scale of the coefficient vector; an

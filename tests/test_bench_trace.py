@@ -2,8 +2,9 @@
 
 ``extractbench/spans.py`` wraps the stage functions by name and reads
 counts from their arguments, so a renamed function or a changed signature
-would only surface in a traced benchmark run.  This test runs one small
-traced extraction instead.
+would only surface in a traced benchmark run; its scorer reads the output
+files, so a changed file format would too.  This test runs and scores one
+small traced extraction instead.
 """
 
 import importlib
@@ -37,3 +38,7 @@ def test_traced_extract_records_work_in_every_always_nonzero_metric(tmp_path, mo
     assert code == 0
     metrics, _ = tracer.layer_metrics(wall)
     assert [name for name in run.ALWAYS_NONZERO if not metrics[name] > 0] == []
+    # the scorer reads the extraction's files as the benchmark does, and
+    # raises on a format it cannot read or an out-of-range result
+    scores = run.Scorer(scene).score(tmp_path / "out")
+    assert scores["class_error"] <= 0.05

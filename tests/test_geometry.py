@@ -176,7 +176,7 @@ def test_incremental_equals_batch_fit():
         plane = update_fit_many(plane, p[None])
     batch = fit_plane(pts, PlaneForm.Z)
     assert np.allclose(plane.coeffs, batch.coeffs, rtol=1e-9, atol=1e-12)
-    assert plane.n_points == 50
+    assert plane.sums[5] == 50
 
 
 def test_insertion_order_does_not_matter():

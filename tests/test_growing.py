@@ -15,7 +15,6 @@ from stereopatch.growing import (
     GrowConfig,
     Patch,
     PatchStack,
-    PointState,
     accept,
     classify_batch,
     grow,
@@ -96,14 +95,14 @@ def build_micro(n=1000, seed=0, half=0.5, depth=4.0, noise=0.001):
         circle_ellipse(pxr, view="right", size=size),
         triangulate_many(pxl, pxr, rig)[0][0],
     )
-    state = PointState(len(cloud))
+    assigned_to = np.full(len(cloud), -1)
     cfg = GrowConfig(log_threshold=-15.0, boundary_weight=1e-7)
     patch = seed_patch(
-        pair, cloud, SeedConfig(), state, 0, boundary_weight=cfg.boundary_weight
+        pair, cloud, SeedConfig(), assigned_to, 0, boundary_weight=cfg.boundary_weight
     )
     assert isinstance(patch, Patch)
     return SimpleNamespace(
-        cloud=cloud, rig=rig, pair=pair, state=state, patch=patch, cfg=cfg
+        cloud=cloud, rig=rig, pair=pair, assigned_to=assigned_to, patch=patch, cfg=cfg
     )
 
 
@@ -261,14 +260,16 @@ def build_seeded(preset="random-planes-4", points_per_face=150, seed=0):
     cfg = pipeline.RunConfig().for_scene(spec.scene_id)
     pipeline.prepare(cloud, rig)
     pairs = segment_to_pairs(segments, rig)
-    patches, state, _ = seed_all(
+    patches, assigned_to, _ = seed_all(
         pairs,
         cloud,
         cfg.seed_cfg,
         cfg.grow_cfg.boundary_weight,
         cfg.grow_cfg.intensity_weight,
     )
-    return SimpleNamespace(cloud=cloud, rig=rig, patches=patches, state=state, cfg=cfg.grow_cfg)
+    return SimpleNamespace(
+        cloud=cloud, rig=rig, patches=patches, assigned_to=assigned_to, cfg=cfg.grow_cfg
+    )
 
 
 @pytest.fixture(scope="module")
@@ -285,8 +286,8 @@ def test_seed_pruned_points_never_join_their_patch():
     assert any(pruned.values())
     for patch in scene.patches:
         assert not pruned[patch.id] & set(patch.members)
-        assert np.all(scene.state.assigned_to[patch.pruned] != patch.id)
-    result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.state)
+        assert np.all(scene.assigned_to[patch.pruned] != patch.id)
+    result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
     assert result.accepted > 0
     for patch in result.patches:
         assert not pruned[patch.id] & set(patch.members)
@@ -304,10 +305,10 @@ def test_a_stack_over_fewer_rows_than_a_seeded_patch_bars_names_the_patch(seeded
 def test_batch_classification_matches_single_calls(micro, seeded):
     rng = np.random.default_rng(55)
     for scene, patches in ((micro, [micro.patch]), (seeded, seeded.patches)):
-        available = scene.state.available_indices()
+        available = np.flatnonzero(scene.assigned_to < 0)
         idx = rng.choice(available, size=40, replace=False)
         pruned = np.concatenate([p.pruned for p in patches])
-        barred = pruned[scene.state.assigned_to[pruned] < 0]
+        barred = pruned[scene.assigned_to[pruned] < 0]
         idx = np.concatenate([idx, barred[:5]])
         batch = classify_batch(patches, scene.cloud, idx, scene.cfg, scene.rig)
         singles = [
@@ -320,12 +321,12 @@ def test_batch_classification_matches_single_calls(micro, seeded):
 def test_no_patches_classify_nothing(micro):
     idx = np.arange(5)
     assert classify_batch([], micro.cloud, idx, micro.cfg, micro.rig) == [None] * 5
-    state = PointState(len(micro.cloud))
-    result = grow([], micro.cloud, micro.cfg, micro.rig, state)
+    assigned_to = np.full(len(micro.cloud), -1)
+    result = grow([], micro.cloud, micro.cfg, micro.rig, assigned_to)
     assert (result.epochs, result.accepted, result.truncated) == (0, 0, False)
     assert result.patches == []
-    assert state.available_indices().tolist() == list(range(len(micro.cloud)))
-    assert not np.any(state.assigned_to >= 0)
+    assert np.flatnonzero(assigned_to < 0).tolist() == list(range(len(micro.cloud)))
+    assert not np.any(assigned_to >= 0)
 
 
 def test_far_point_is_unclassifiable(micro):
@@ -555,16 +556,16 @@ def test_refreshed_stack_equals_a_rebuilt_stack():
     positions = np.vstack([tri.hull.vertices, scene.positions[:-1], ring])
     n = len(positions)
     cloud = PointCloud(positions, np.zeros((n, 2)), np.zeros((n, 2)))
-    state = PointState(n)
+    assigned_to = np.full(n, -1)
     patches = [replace(p, members=[]) for p in scene.patches]
     patches[0].members = [0, 1, 2]
-    state.assign([0, 1, 2], 0)
+    assigned_to[[0, 1, 2]] = 0
     stack = PatchStack(patches, cloud.positions, scene.rig)
     assert stack.hulls.capacity == 8
 
-    accept(patches[0], cloud, state, np.arange(n - 12, n))
+    accept(patches[0], cloud, assigned_to, np.arange(n - 12, n))
     assert len(patches[0].hull.vertices) == 12
-    rows = state.available_indices()
+    rows = np.flatnonzero(assigned_to < 0)
     stale = stack.scores(rows)
     stack.refresh(0)
     assert stack.hulls.capacity == 16
@@ -585,7 +586,7 @@ def test_growth_keeps_its_stack_equal_to_a_fresh_one(monkeypatch):
         return real(patches, cloud, indices, cfg, rig, stack)
 
     monkeypatch.setattr(growing, "classify_batch", checked)
-    result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.state)
+    result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
     assert result.accepted > 0
     assert max(seen) > seen[0]  # some hull outgrew the padding during growth
 
@@ -601,7 +602,7 @@ def test_growth_classifies_a_batch_of_queued_points_per_stacked_pass_by_default(
         return real(patches, cloud, indices, *args)
 
     monkeypatch.setattr(growing, "classify_batch", counted)
-    result = grow([scene.patch], scene.cloud, scene.cfg, scene.rig, scene.state)
+    result = grow([scene.patch], scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
     assert result.accepted > 0
     assert max(rows) == 32
     assert len(rows) < sum(rows)
@@ -613,32 +614,46 @@ def test_growth_classifies_a_batch_of_queued_points_per_stacked_pass_by_default(
 def test_accepting_a_coplanar_point_keeps_the_plane():
     scene = build_micro(n=900, seed=4, noise=0.0)
     before = np.asarray(scene.patch.plane.coeffs).copy()
-    candidates = scene.state.available_indices()
-    accept(scene.patch, scene.cloud, scene.state, [int(candidates[0])])
+    candidates = np.flatnonzero(scene.assigned_to < 0)
+    accept(scene.patch, scene.cloud, scene.assigned_to, [int(candidates[0])])
     after = np.asarray(scene.patch.plane.coeffs)
     assert np.max(np.abs(after - before)) <= 1e-12
-    assert scene.state.assigned_to[int(candidates[0])] == scene.patch.id
+    assert scene.assigned_to[int(candidates[0])] == scene.patch.id
 
 
 def test_accept_increments_membership_and_consumes_the_point():
     scene = build_micro(n=800, seed=5)
     n_before = len(scene.patch.members)
-    idx = int(scene.state.available_indices()[3])
-    accept(scene.patch, scene.cloud, scene.state, [idx])
+    idx = int(np.flatnonzero(scene.assigned_to < 0)[3])
+    accept(scene.patch, scene.cloud, scene.assigned_to, [idx])
     assert len(scene.patch.members) == n_before + 1
     assert idx in scene.patch.members
-    assert not scene.state.available_mask()[idx]
+    assert scene.assigned_to[idx] >= 0
+
+
+def test_accepting_a_claimed_point_raises_and_leaves_the_patch_unchanged():
+    scene = build_seeded()
+    first, second = scene.patches[:2]
+    members, sums = first.members.copy(), first.plane.sums.copy()
+    vertices = first.hull.vertices.copy()
+    claims = scene.assigned_to.copy()
+    with pytest.raises(ValueError, match="point already assigned"):
+        accept(first, scene.cloud, scene.assigned_to, second.members[:3])
+    assert np.array_equal(first.members, members)
+    assert np.array_equal(first.plane.sums, sums)
+    assert np.array_equal(first.hull.vertices, vertices)
+    assert np.array_equal(scene.assigned_to, claims)
 
 
 def test_hundred_accepts_equal_scratch_recompute():
     scene = build_micro(n=900, seed=6)
-    patch, cloud, state = scene.patch, scene.cloud, scene.state
-    available = state.available_indices()
+    patch, cloud, assigned_to = scene.patch, scene.cloud, scene.assigned_to
+    available = np.flatnonzero(assigned_to < 0)
     order = np.asarray(available)[
         np.argsort(np.sum((cloud.positions[available] - patch.pair.seed) ** 2, axis=1))
     ]
     for idx in order[:100]:
-        accept(patch, cloud, state, [int(idx)])
+        accept(patch, cloud, assigned_to, [int(idx)])
 
     member_pts = cloud.positions[np.asarray(patch.members)]
     scratch_plane = fit_plane(member_pts, patch.plane.form)
@@ -672,12 +687,12 @@ def test_every_accept_keeps_the_hull_equal_to_a_rebuild_over_all_members():
     z = 0.4 * ab[:, 0] - 0.3 * ab[:, 1] + 2.0 + rng.normal(0.0, 1e-3, n)
     positions = np.column_stack([ab, z])
     cloud = PointCloud(positions, np.zeros((n, 2)), np.zeros((n, 2)))
-    state = PointState(n)
+    assigned_to = np.full(n, -1)
     seed = np.arange(8)
     plane = fit_plane(positions[seed], PlaneForm.Z)
     hull = build_hull(plane, positions[seed])
     patch = Patch(0, plane, hull, list(seed), GammaParams(2.0, 1e-6), None, 1e-3)
-    state.assign(seed, 0)
+    assigned_to[seed] = 0
     start, mixed = len(seed), 0
     while start < n:
         batch = np.arange(start, min(start + int(rng.integers(1, 8)), n))
@@ -685,7 +700,7 @@ def test_every_accept_keeps_the_hull_equal_to_a_rebuild_over_all_members():
         before = HullStack([patch.hull])
         inside = before.contains_2d(before.to_2d(positions[batch]))[:, 0]
         mixed += bool(inside.any() and not inside.all())
-        accept(patch, cloud, state, batch)
+        accept(patch, cloud, assigned_to, batch)
         members = positions[np.asarray(patch.members)]
         after = HullStack([patch.hull])
         assert np.all(after.contains_2d(after.to_2d(members)))
@@ -713,13 +728,13 @@ def test_seed_accept_and_merge_fit_theta_to_the_joint_distances():
     # Tilted planes: there a plane-only shortcut through ``points @ normal``
     # rounds differently from the kernel's dot products on some patches.
     scene = build_seeded()
-    cloud, state = scene.cloud, scene.state
+    cloud, assigned_to = scene.cloud, scene.assigned_to
     merged = []
     for patch in scene.patches:
         assert patch.theta == fitted_theta(patch, cloud)
-        free = state.available_indices()
+        free = np.flatnonzero(assigned_to < 0)
         near = np.argsort(np.sum((cloud.positions[free] - patch.pair.seed) ** 2, axis=1))
-        accept(patch, cloud, state, free[near[:20]])
+        accept(patch, cloud, assigned_to, free[near[:20]])
         assert patch.theta == fitted_theta(patch, cloud)
         merged.append(_merge(*halves(patch), cloud))
         assert merged[-1].theta == fitted_theta(merged[-1], cloud)
@@ -758,7 +773,7 @@ def test_a_degenerate_sample_keeps_the_fallback_or_the_previous_theta():
     # Noiseless points on one plane: every joint distance is clamped to the
     # same floor, so the Gamma fit has no spread to estimate.
     scene = build_micro(n=900, seed=4, noise=0.0)
-    patch, cloud, state = scene.patch, scene.cloud, scene.state
+    patch, cloud, assigned_to = scene.patch, scene.cloud, scene.assigned_to
     with pytest.raises(ValueError, match="degenerate sample"):
         fitted_theta(patch, cloud)
     members = np.asarray(patch.members)
@@ -766,7 +781,7 @@ def test_a_degenerate_sample_keeps_the_fallback_or_the_previous_theta():
 
     previous = GammaParams(1.7, 3e-9)
     patch.theta = previous
-    accept(patch, cloud, state, state.available_indices()[:40])
+    accept(patch, cloud, assigned_to, np.flatnonzero(assigned_to < 0)[:40])
     with pytest.raises(ValueError, match="degenerate sample"):
         fitted_theta(patch, cloud)
     assert patch.theta == previous
@@ -784,10 +799,10 @@ def test_saturates_on_a_single_face():
     # sweep up every one of them before the loop stalls.
     scene = build_micro(n=800, seed=10)
     cfg = replace(scene.cfg, log_threshold=-30.0)
-    result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.state)
+    result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.assigned_to)
     assert not result.truncated
-    assert len(scene.state.available_indices()) == 0
-    assert int(np.sum(scene.state.assigned_to >= 0)) == len(scene.cloud)
+    assert len(np.flatnonzero(scene.assigned_to < 0)) == 0
+    assert int(np.sum(scene.assigned_to >= 0)) == len(scene.cloud)
     assert result.epochs >= 1
 
 
@@ -795,7 +810,7 @@ def test_impossible_threshold_freezes_the_seeds():
     scene = build_micro(n=900, seed=7)
     seed_members = set(scene.patch.members)
     cfg = replace(scene.cfg, log_threshold=1e9)
-    result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.state)
+    result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.assigned_to)
     assert result.accepted == 0
     assert set(result.patches[0].members) == seed_members
 
@@ -803,7 +818,7 @@ def test_impossible_threshold_freezes_the_seeds():
 def test_membership_only_grows():
     scene = build_micro(n=900, seed=8)
     seed_members = set(scene.patch.members)
-    result = grow([scene.patch], scene.cloud, scene.cfg, scene.rig, scene.state)
+    result = grow([scene.patch], scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
     assert seed_members <= set(result.patches[0].members)
 
 
@@ -814,7 +829,7 @@ def test_batched_growth_matches_single_stepping():
     for batch in (1, 8):
         scene = build_micro(n=900, seed=9)
         cfg = replace(scene.cfg, log_threshold=-25.0, batch_size=batch)
-        result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.state)
+        result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.assigned_to)
         outcomes.append(frozenset(result.patches[0].members))
     assert outcomes[0] == outcomes[1]
 
@@ -837,20 +852,20 @@ def test_growth_tests_containment_only_for_the_scored_rows(monkeypatch):
 
     monkeypatch.setattr(geometry, "_inside_polygons", counting_inside)
     monkeypatch.setattr(PatchStack, "scores", counting_scores)
-    result = grow([scene.patch], scene.cloud, scene.cfg, scene.rig, scene.state)
+    result = grow([scene.patch], scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
     assert result.accepted > 0
     assert rows["inside"] == rows["scored"] > 0
 
 
 def test_growth_stops_at_max_epochs_and_flags_truncation(caplog):
     ref = build_micro(n=900, seed=12)
-    full = grow([ref.patch], ref.cloud, ref.cfg, ref.rig, ref.state)
+    full = grow([ref.patch], ref.cloud, ref.cfg, ref.rig, ref.assigned_to)
     assert not full.truncated and full.epochs > 1
 
     scene = build_micro(n=900, seed=12)
     cfg = replace(scene.cfg, max_epochs=1)
     with caplog.at_level("WARNING", logger="stereopatch.growing"):
-        result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.state)
+        result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.assigned_to)
     assert result.truncated
     assert result.epochs == 1
     assert 0 < result.accepted < full.accepted

@@ -60,7 +60,7 @@ def perfect_fixture(tmp_path):
     gt_path = tmp_path / "gt.json"
     patches_path = tmp_path / "patches.json"
     io.save_ground_truth(gt_path, gt)
-    doc = io.ExtractionDocument(patches, [], "hand-built", 1, False, 8)
+    doc = io.ExtractionDocument(patches, 8, "hand-built", 1, False, 8)
     io.save_patches(patches_path, doc)
     return gt_path, patches_path, patches
 
@@ -262,7 +262,7 @@ def test_patches_roundtrip(tmp_path, two_plane_run):
     unassigned = np.flatnonzero(result.labels < 0).tolist()
     doc = io.ExtractionDocument(
         result.patches,
-        unassigned,
+        len(two_plane_run.cloud),
         two_plane_run.spec.scene_id,
         result.grow_result.epochs,
         result.grow_result.truncated,
@@ -273,6 +273,7 @@ def test_patches_roundtrip(tmp_path, two_plane_run):
     loaded = io.load_patches(path)
     assert _int_arrays(loaded.patches)
     assert loaded.scene_id == doc.scene_id
+    assert loaded.n_points == doc.n_points
     assert loaded.unassigned == unassigned
     assert (loaded.epochs, loaded.truncated, loaded.accepted) == (
         doc.epochs,
@@ -291,7 +292,6 @@ def test_patches_roundtrip(tmp_path, two_plane_run):
         assert np.array_equal(a.plane.coeffs, b.plane.coeffs)
         assert np.array_equal(a.plane.implicit, b.plane.implicit)
         assert np.array_equal(a.plane.sums, b.plane.sums)
-        assert a.plane.n_points == b.plane.n_points
         assert np.array_equal(a.hull.vertices, b.hull.vertices)
         assert np.array_equal(a.members, b.members)
         assert (a.theta.shape, a.theta.scale) == (b.theta.shape, b.theta.scale)
@@ -305,7 +305,7 @@ def test_patch_writer_ignores_input_order(tmp_path):
     _, patches_path, patches = perfect_fixture(tmp_path)
     flipped = tmp_path / "flipped.json"
     io.save_patches(
-        flipped, io.ExtractionDocument(patches[::-1], [], "hand-built", 1, False, 8)
+        flipped, io.ExtractionDocument(patches[::-1], 8, "hand-built", 1, False, 8)
     )
     assert flipped.read_bytes() == patches_path.read_bytes()
 
@@ -440,6 +440,15 @@ def _set(*keys_and_value):
     return mutate
 
 
+def _drop(key):
+    """Mutation that deletes a top-level key, as in a file written before it existed."""
+
+    def mutate(doc):
+        del doc[key]
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "name, mutate",
     [
@@ -461,7 +470,6 @@ def _set(*keys_and_value):
         pytest.param("gt.json", _set("faces", 5), id="faces-not-a-list"),
         pytest.param("gt.json", _set("faces", [5]), id="face-not-an-object"),
         pytest.param("patches.json", _set("patches", 5), id="patches-not-a-list"),
-        pytest.param("patches.json", _set("unassigned", 5), id="unassigned-not-a-list"),
         pytest.param(
             "patches.json", _set("patches", 0, "members", 0, 1000000),
             id="member-past-the-end",
@@ -485,11 +493,12 @@ def _set(*keys_and_value):
             id="fractional-members",
         ),
         pytest.param("patches.json", _set("patches", 1, "id", 1.5), id="fractional-id"),
-        pytest.param("patches.json", _set("patches", 0, "n_points", 4.5), id="fractional-n-points"),
-        pytest.param("patches.json", _set("unassigned", [0.5]), id="fractional-unassigned"),
-        pytest.param("patches.json", _set("unassigned", [-1]), id="negative-unassigned"),
-        pytest.param("patches.json", _set("unassigned", [9, 9]), id="unassigned-listed-twice"),
-        pytest.param("patches.json", _set("unassigned", [3]), id="unassigned-member"),
+        pytest.param("patches.json", _set("n_points", 4.5), id="fractional-n-points"),
+        pytest.param("patches.json", _set("n_points", 9), id="point-count-differs-from-gt"),
+        pytest.param("patches.json", _set("n_points", -1), id="negative-n-points"),
+        # checked against the ground truth before anything of that size is allocated
+        pytest.param("patches.json", _set("n_points", 10**12), id="n-points-past-memory"),
+        pytest.param("patches.json", _drop("n_points"), id="file-without-point-count"),
         pytest.param("patches.json", _set("epochs", 1.5), id="fractional-epochs"),
         pytest.param("patches.json", _set("accepted", True), id="boolean-accepted"),
         pytest.param("patches.json", _set("truncated", "no"), id="string-truncated"),

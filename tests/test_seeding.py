@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from stereopatch import synth
-from stereopatch.growing import PointState
+from stereopatch import pipeline, synth
+from stereopatch.growing import member_labels
 from stereopatch.seeding import (
     SeedConfig,
     SeedRejection,
@@ -82,7 +82,7 @@ def test_non_positive_radius_fraction_is_rejected(frac):
 def test_noiseless_seed_recovers_the_plane(quiet_two_plane_scene):
     scene = quiet_two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
-    patches, state, rejections = seed_all(pairs, scene.cloud, SeedConfig())
+    patches, assigned_to, rejections = seed_all(pairs, scene.cloud, SeedConfig())
     assert len(patches) == len(scene.gt.faces)
     assert not rejections
     for patch in patches:
@@ -100,7 +100,7 @@ def test_low_noise_seed_planes_are_accurate():
     rig = synth.default_rig(spec.pixel_noise)
     cloud, gt, segments = synth.generate(spec, rig)
     pairs = segment_to_pairs(segments, rig)
-    patches, state, rejections = seed_all(pairs, cloud, SeedConfig())
+    patches, assigned_to, rejections = seed_all(pairs, cloud, SeedConfig())
     assert len(patches) >= 6
     for patch in patches:
         ssd = min(
@@ -120,8 +120,8 @@ def test_seed_in_empty_space_is_sparse(two_plane_scene):
         circle_ellipse([90.0, 100.0], view="right"),
         np.array([50.0, 50.0, 50.0]),
     )
-    state = PointState(len(scene.cloud))
-    out = seed_patch(lonely, scene.cloud, SeedConfig(), state, 0)
+    assigned_to = np.full(len(scene.cloud), -1)
+    out = seed_patch(lonely, scene.cloud, SeedConfig(), assigned_to, 0)
     assert isinstance(out, SeedRejection)
     assert out.reason == "sparse seed"
 
@@ -131,7 +131,7 @@ def test_members_lie_inside_the_seed_sphere(two_plane_scene):
     pairs = segment_to_pairs(scene.segments, scene.rig)
     cfg = SeedConfig()
     radius = cfg.resolve_radius(scene.cloud)
-    patches, state, _ = seed_all(pairs, scene.cloud, cfg)
+    patches, assigned_to, _ = seed_all(pairs, scene.cloud, cfg)
     for patch in patches:
         member_pts = scene.cloud.positions[np.asarray(patch.members)]
         sq = np.sum((member_pts - patch.pair.seed) ** 2, axis=1)
@@ -141,18 +141,44 @@ def test_members_lie_inside_the_seed_sphere(two_plane_scene):
 def test_point_states_are_mutually_exclusive(two_plane_scene):
     scene = two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
-    patches, state, _ = seed_all(pairs, scene.cloud, SeedConfig())
+    patches, assigned_to, _ = seed_all(pairs, scene.cloud, SeedConfig())
     for patch in patches:
-        assigned = state.assigned_to[np.asarray(patch.members)]
+        assigned = assigned_to[np.asarray(patch.members)]
         assert np.all(assigned == patch.id)
-    available = state.available_mask()
-    assert not np.any(available & (state.assigned_to >= 0))
+    # no point is claimed but by a patch that lists it
+    assert np.array_equal(assigned_to, member_labels(patches, len(scene.cloud)))
 
 
 def test_duplicate_seeds_collapse_to_one(two_plane_scene):
     scene = two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
     doubled = [pairs[0], pairs[0], pairs[1]]
-    patches, state, rejections = seed_all(doubled, scene.cloud, SeedConfig())
+    patches, assigned_to, rejections = seed_all(doubled, scene.cloud, SeedConfig())
     assert len(patches) == 2
     assert any(r.reason == "duplicate seed" for r in rejections)
+
+
+def test_a_sparse_face_keeps_its_seed_in_a_widened_sphere():
+    # At 500 points per face the resolved radius holds fewer than
+    # min_cluster points around one two-plane seed; the sphere widens to the
+    # min_cluster-th nearest free point, at most to twice the radius.
+    spec = synth.SceneSpec("two-plane", 500, 0.001, 0)
+    rig = synth.default_rig(spec.pixel_noise)
+    cloud, gt, segments = synth.generate(spec, rig)
+    pairs = segment_to_pairs(segments, rig)
+    cfg = SeedConfig()
+    radius = cfg.resolve_radius(cloud)
+    patches, _, rejections = seed_all(pairs, cloud, cfg)
+    assert (len(patches), rejections) == (2, [])
+    reach = [
+        np.max(np.sum((cloud.positions[p.members] - p.pair.seed) ** 2, axis=1)) for p in patches
+    ]
+    assert max(reach) > radius**2
+    assert max(reach) <= 4.0 * radius**2
+    # an explicit radius of the same size widens the same way
+    explicit, _, _ = seed_all(pairs, cloud, SeedConfig(radius=radius))
+    assert [p.members.tolist() for p in explicit] == [p.members.tolist() for p in patches]
+
+    run_cfg = pipeline.RunConfig().for_scene(spec.scene_id)
+    result = pipeline.run_pipeline(cloud, rig, segments, run_cfg)
+    assert synth.classification_error(gt, result.patches) <= 0.05
