@@ -199,6 +199,8 @@ def _csv_cell(value) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.axis in ("noise", "thresholds") and args.samples < 1:
+        raise io.InputError(f"--samples must be at least 1, not {args.samples}")
     cfg = _load_run_config(args.config)
     out = Path(args.out) if args.out else Path(args.out_dir) / f"sweep_{args.axis}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)

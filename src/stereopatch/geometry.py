@@ -9,6 +9,7 @@ all distance arithmetic uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -182,28 +183,31 @@ def monotone_chain(points2d: np.ndarray) -> list[int]:
     """Indices of the strict convex hull, counter-clockwise.
 
     Collinear boundary points are dropped, so the vertex set is minimal.
+    The chain runs on Python floats: their subtractions and multiplies are
+    the IEEE double operations numpy's scalars do, without the per-scalar
+    indexing cost.
     """
     pts = np.asarray(points2d, float)
     n = len(pts)
     if n < 3:
         return list(range(n))
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+    x = pts[:, 0].tolist()
+    y = pts[:, 1].tolist()
 
     def cross(o: int, a: int, b: int) -> float:
-        return (pts[a, 0] - pts[o, 0]) * (pts[b, 1] - pts[o, 1]) - (
-            pts[a, 1] - pts[o, 1]
-        ) * (pts[b, 0] - pts[o, 0])
+        return (x[a] - x[o]) * (y[b] - y[o]) - (y[a] - y[o]) * (x[b] - x[o])
 
     lower: list[int] = []
     for i in order:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0:
             lower.pop()
-        lower.append(int(i))
+        lower.append(i)
     upper: list[int] = []
-    for i in order[::-1]:
+    for i in reversed(order):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0:
             upper.pop()
-        upper.append(int(i))
+        upper.append(i)
     return lower[:-1] + upper[:-1]
 
 
@@ -269,42 +273,76 @@ class PlanarHull:
         ee = np.sum(e * e, axis=1)
         return np.where(ee > 0, ee, 1.0)
 
+    @cached_property
+    def bounding_circle(self) -> tuple[tuple[float, float], float]:
+        """2D centre (the vertex centroid) and a radius around it holding the
+        polygon and every point the containment test counts inside.
+
+        The test admits points up to tol / |e| outside edge e.  Pushing every
+        edge of a strictly convex, once-wound polygon out by the largest such
+        offset moves each vertex by offset / cos(turn / 2), turn being the
+        exterior angle there; the radius adds that reach, and slack for the
+        rounding of the test, to the vertex radius.  Any other vertex list,
+        such as a hull read from a file may hold, gets an infinite radius.
+        """
+        # Python floats: a hull has tens of vertices, too few for numpy to pay
+        xs, ys = self.verts2d[:, 0].tolist(), self.verts2d[:, 1].tolist()
+        cx, cy = sum(xs) / len(xs), sum(ys) / len(ys)
+        radius = max(map(math.hypot, [x - cx for x in xs], [y - cy for y in ys]))
+        # the containment test's edge vectors; a zero-length edge admits every point
+        edges = [
+            (x1 - x0, y1 - y0)
+            for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])
+            if x1 != x0 or y1 != y0
+        ]
+        pairs = list(zip(edges, edges[1:] + edges[:1]))
+        cross = [ex * fy - ey * fx for (ex, ey), (fx, fy) in pairs]
+        turn = list(map(math.atan2, cross, [ex * fx + ey * fy for (ex, ey), (fx, fy) in pairs]))
+        if len(edges) < 3 or min(cross) <= 0 or sum(turn) > 3 * math.pi:
+            return (cx, cy), math.inf
+        offset = 2.0 * self.contain_tol / min(math.hypot(*e) for e in edges)
+        offset += 1e-9 * (max(abs(cx), abs(cy)) + radius)
+        return (cx, cy), radius + offset / math.cos(max(turn) / 2)
+
 
 def _inside_polygons(
     q: np.ndarray, starts: np.ndarray, edges: np.ndarray, tol: np.ndarray
 ) -> np.ndarray:
-    """(npts, npolys) non-strict membership of q (npts, npolys, 2) in each polygon.
+    """Non-strict membership of q (..., 2) in polygons that broadcast against it.
 
-    ``starts``/``edges`` are (npolys, nedges, 2); a point is inside when
-    cross(e_i, q - a_i) clears -tol for every edge of its polygon.
+    ``starts``/``edges`` are (..., nedges, 2) and ``tol`` is (...): (npolys,
+    nedges, 2) against q (npts, npolys, 2) tests every point in every
+    polygon, and (K, nedges, 2) against q (K, 2) tests K (point, polygon)
+    pairs.  A point is inside when cross(e_i, q - a_i) clears -tol for
+    every edge of its polygon.
     """
-    a = starts[None]
-    e = edges[None]
-    qq = q[:, :, None, :]
-    cr = e[..., 0] * (qq[..., 1] - a[..., 1]) - e[..., 1] * (qq[..., 0] - a[..., 0])
-    return np.all(cr >= -tol[None, :, None], axis=2)
+    qx = q[..., 0, None]
+    qy = q[..., 1, None]
+    cr = edges[..., 0] * (qy - starts[..., 1]) - edges[..., 1] * (qx - starts[..., 0])
+    return np.all(cr >= -tol[..., None], axis=-1)
 
 
 def _boundary_sq_dist(
     q: np.ndarray, starts: np.ndarray, edges: np.ndarray, edge_sq: np.ndarray
 ) -> np.ndarray:
-    """(npts, npolys) min squared 2D distance from q (npts, npolys, 2) to each boundary.
+    """Min squared 2D distance from q (..., 2) to polygon boundaries that broadcast
+    against it, as ``_inside_polygons`` takes them (``edge_sq`` is (..., nedges)).
 
-    Works on x/y components, so no (npts, npolys, nedges, 2) temporary is
-    made; every entry is the clamped projection of q onto each edge and
-    its squared offset, rx * rx + ry * ry, minimised over the edges.
+    Works on x/y components, so no (..., nedges, 2) temporary is made; every
+    entry is the clamped projection of q onto each edge and its squared
+    offset, rx * rx + ry * ry, minimised over the edges.
     """
-    qx = q[:, :, 0, None]
-    qy = q[:, :, 1, None]
-    ax = starts[None, :, :, 0]
-    ay = starts[None, :, :, 1]
-    ex = edges[None, :, :, 0]
-    ey = edges[None, :, :, 1]
-    t = ((qx - ax) * ex + (qy - ay) * ey) / edge_sq[None]
+    qx = q[..., 0, None]
+    qy = q[..., 1, None]
+    ax = starts[..., 0]
+    ay = starts[..., 1]
+    ex = edges[..., 0]
+    ey = edges[..., 1]
+    t = ((qx - ax) * ex + (qy - ay) * ey) / edge_sq
     np.clip(t, 0.0, 1.0, out=t)
     rx = qx - (ax + t * ex)
     ry = qy - (ay + t * ey)
-    return np.min(rx * rx + ry * ry, axis=2)
+    return np.min(rx * rx + ry * ry, axis=-1)
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,8 +360,10 @@ class HullStack:
 
     Each hull's 2D vertex and edge arrays are padded to a common capacity by
     repeating its last real edge, so the every-edge containment test and the
-    min-over-edges boundary distance give the unpadded results.  ``set``
-    replaces one hull; the capacity grows by doubling when a hull outgrows it.
+    min-over-edges boundary distance give the unpadded results.  Both take
+    either a grid of points against every hull or (point, hull) pairs, through
+    one kernel each.  ``set`` replaces one hull; the capacity grows by
+    doubling when a hull outgrows it.
     """
 
     def __init__(self, hulls: list[PlanarHull]) -> None:
@@ -335,6 +375,8 @@ class HullStack:
         self.normal = np.empty((n, 3))
         self.offset = np.empty(n)
         self.tol = np.empty(n)
+        self.center = np.empty((n, 2))
+        self.radius = np.empty(n)
         self.starts = np.empty((n, cap, 2))
         self.edges = np.empty((n, cap, 2))
         self.edge_sq = np.empty((n, cap))
@@ -364,6 +406,7 @@ class HullStack:
         self.normal[j] = hull.normal
         self.offset[j] = hull.offset
         self.tol[j] = hull.contain_tol
+        self.center[j], self.radius[j] = hull.bounding_circle
         self.starts[j, :nv] = hull.verts2d
         self.starts[j, nv:] = hull.verts2d[-1]
         self.edges[j, :nv] = hull.edge_vectors
@@ -382,13 +425,28 @@ class HullStack:
         """(npts, nhulls) signed distance of every point to every hull plane."""
         return _dot_rows(np.asarray(points, float)[:, None, :], self.normal[None]) + self.offset
 
-    def contains_2d(self, q: np.ndarray) -> np.ndarray:
-        """(npts, nhulls) non-strict membership of q (npts, nhulls, 2) in each hull polygon."""
-        return _inside_polygons(q, self.starts, self.edges, self.tol)
+    def contains_2d(self, q: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """(npts, nhulls) non-strict membership of q (npts, nhulls, 2) in each hull
+        polygon; with ``cols``, the (K,) membership of q (K, 2) in hull cols[k]."""
+        if cols is None:
+            return _inside_polygons(q, self.starts, self.edges, self.tol)
+        return _inside_polygons(q, self.starts[cols], self.edges[cols], self.tol[cols])
 
-    def boundary_sq_dist_2d(self, q: np.ndarray) -> np.ndarray:
-        """(npts, nhulls) min squared distance of q (npts, nhulls, 2) to each boundary."""
-        return _boundary_sq_dist(q, self.starts, self.edges, self.edge_sq)
+    def boundary_sq_dist_2d(self, q: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """(npts, nhulls) min squared distance of q (npts, nhulls, 2) to each
+        boundary; with ``cols``, the (K,) distance of q (K, 2) to hull cols[k]."""
+        if cols is None:
+            return _boundary_sq_dist(q, self.starts, self.edges, self.edge_sq)
+        return _boundary_sq_dist(q, self.starts[cols], self.edges[cols], self.edge_sq[cols])
+
+    def lateral_floor(self, q: np.ndarray) -> np.ndarray:
+        """(npts, nhulls) lower bound on the 2D distance of q (npts, nhulls, 2) to
+        each hull polygon: |q - centre| - radius of the hull's bounding circle,
+        shrunk for rounding.  It is 0 wherever the containment test may count
+        q inside, and at most the boundary distance wherever it counts q outside.
+        """
+        r = np.hypot(q[..., 0] - self.center[:, 0], q[..., 1] - self.center[:, 1])
+        return np.maximum(r * (1.0 - 1e-9) - self.radius, 0.0)
 
 
 def _project(plane: Plane, points: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -531,11 +589,19 @@ def hull_hull_min_sq_dist(hull_a: PlanarHull, hull_b: PlanarHull) -> float:
         return 0.0
     a0, a1 = _edges(hull_a)
     b0, b1 = _edges(hull_b)
-    for i in range(len(a0)):
-        for j in range(len(b0)):
-            d = _seg_seg_sq_dist(a0[i], a1[i], b0[j], b1[j])
-            if d < best:
-                best = d
+    # Two segments are no closer than their axis-aligned boxes.  Edge pairs
+    # whose box gap exceeds best, with slack for the segment distance's
+    # rounding, can never lower it, so only the others are measured, in the
+    # same row-major order as the full double loop.
+    lo_a, hi_a = np.minimum(a0, a1)[:, None], np.maximum(a0, a1)[:, None]
+    lo_b, hi_b = np.minimum(b0, b1)[None], np.maximum(b0, b1)[None]
+    gap = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
+    scale = max(np.max(np.abs(a0)), np.max(np.abs(b0)))
+    reach = np.sqrt(best) * (1.0 + 1e-9) + 1e-12 * scale
+    for i, j in zip(*np.nonzero(np.sum(gap * gap, axis=2) <= reach * reach)):
+        d = _seg_seg_sq_dist(a0[i], a1[i], b0[j], b1[j])
+        if d < best:
+            best = d
     return best
 
 

@@ -25,6 +25,19 @@ the point and the patch's segment pair, which nothing changes during growth,
 so ``grow`` computes them once for the whole cloud, together with the mask of
 points each seed pruned; after an accept only that patch's row of the stack
 is re-read.
+
+A point asks one question of the patches: does any posterior clear its
+threshold?  So the classifier bounds each (point, patch) score from above
+before the exact work.  The joint distance is at least (1 + w) * s^2 +
+w * l^2, with s^2 the plane term and l the point's in-plane distance beyond
+a circle round the hull that holds every point the containment test counts
+inside; the log posterior, (a - 1) * log d - d / b plus terms free of d,
+is then at most its value at that floor, or at the Gamma mode (a - 1) * b
+if the mode lies beyond it.  A pair whose bound falls below the threshold,
+by a margin that covers rounding, scores -inf without the containment test
+or the per-edge boundary distance; it could neither be accepted nor beat a
+posterior that is.  The other pairs are scored exactly, so every decision
+equals the one over the full matrix.
 """
 
 from __future__ import annotations
@@ -135,27 +148,26 @@ class Patch:
 
 
 def _joint_distance(
-    hulls: geometry.HullStack, weight: np.ndarray | float, points: np.ndarray
+    hulls: geometry.HullStack, weight: np.ndarray, cols: np.ndarray, d_plane: np.ndarray, q: np.ndarray
 ) -> np.ndarray:
-    """(n, P) joint distances of (n, 3) points to P stacked patches, clamped away from zero.
+    """(K,) joint distances of K (point, patch) pairs, clamped away from zero.
 
-    The joint distance is the squared plane distance plus ``weight`` times
-    the squared distance to the solid hull.  Each hull carries its patch's
-    plane, so the plane term is the squared signed distance to the hull
-    plane.  Where a point projects inside a hull the hull term equals the
-    plane term and the distance is (1 + w) * plane term; the lateral
-    boundary term is evaluated only for the rows outside some hull.
+    Pair k is a point with squared plane distance ``d_plane[k]`` and in-plane
+    coordinates ``q[k]`` in the frame of stacked hull ``cols[k]``, whose
+    boundary weight is ``weight[cols[k]]``.  The joint distance is the
+    squared plane distance plus that weight times the squared distance to
+    the solid hull.  Each hull carries its patch's plane, so the plane term
+    is the squared signed distance to the hull plane.  Where a point projects
+    inside its hull the hull term equals the plane term and the distance is
+    (1 + w) * plane term; the lateral boundary term is evaluated only for the
+    pairs outside.
     """
-    s = hulls.signed_dist(points)
-    d_plane = s * s
-    q = hulls.to_2d(points)
-    inside = hulls.contains_2d(q)
-    d = (1.0 + weight) * d_plane
-    rows = np.flatnonzero(~np.all(inside, axis=1))
-    if len(rows):
-        dp = d_plane[rows]
-        outer = dp + weight * (dp + hulls.boundary_sq_dist_2d(q[rows]))
-        d[rows] = np.where(inside[rows], d[rows], outer)
+    w = weight[cols]
+    d = (1.0 + w) * d_plane
+    out = np.flatnonzero(~hulls.contains_2d(q, cols))
+    if len(out):
+        dp = d_plane[out]
+        d[out] = dp + w[out] * (dp + hulls.boundary_sq_dist_2d(q[out], cols[out]))
     return np.maximum(d, _DIST_CLAMP)
 
 
@@ -200,6 +212,16 @@ class PatchStack:
     axis; ``refresh`` re-reads one patch after it has accepted points.  Each
     entry takes the same floating-point operations, in the same order, as
     scoring that one point against that one patch alone.
+
+    Given each point's acceptance threshold, ``scores`` first bounds every
+    (point, patch) pair from above and evaluates exactly only the pairs that
+    can clear it.  The joint distance is at least (1 + w) * s^2 + w * l^2,
+    where s^2 is the plane term and l the point's distance beyond the hull's
+    bounding circle (``geometry.HullStack.lateral_floor``), so the score is
+    at most its value there, or at the Gamma mode if that lies further out.
+    A pair whose bound, with slack for rounding, is below the threshold
+    scores -inf and never reaches the containment test or the per-edge
+    boundary distance; the other pairs keep their exact scores.
     """
 
     def __init__(self, patches: list[Patch], positions: np.ndarray, rig: StereoRig) -> None:
@@ -220,6 +242,7 @@ class PatchStack:
         self.shape = np.empty(n)
         self.scale = np.empty(n)
         self.log_const = np.empty(n)
+        self.mode = np.empty(n)
         for j in range(n):
             self._load(j)
 
@@ -235,15 +258,46 @@ class PatchStack:
         self.scale[j] = b
         # the Gamma normalization -a*log(b) - log(Gamma(a)) and the ellipse moment term
         self.log_const[j] = -a * np.log(b) - math.lgamma(a) - self.half_log_moments[j]
+        # the distance where the score (a - 1) * log(d) - d / b peaks
+        self.mode[j] = (a - 1.0) * b if a > 1.0 else 0.0
         self.hulls.set(j, patch.hull)
 
-    def scores(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), n_patches) log posteriors of the given points; blocked entries are -inf."""
-        d = _joint_distance(self.hulls, self.weight, self.positions[rows])
-        scores = (
-            (self.shape - 1.0) * np.log(d) - self.prior[rows] - d / self.scale + self.log_const
+    def scores(self, rows: np.ndarray, threshold: np.ndarray | None = None) -> np.ndarray:
+        """(len(rows), n_patches) log posteriors of the given points; blocked entries are -inf.
+
+        With a (len(rows),) ``threshold``, entries that provably fall below
+        their row's threshold are -inf as well; every other entry is exact.
+        """
+        points = self.positions[rows]
+        s = self.hulls.signed_dist(points)
+        d_plane = s * s
+        q = self.hulls.to_2d(points)
+        prior = self.prior[rows]
+        live = ~self.blocked[rows]
+        if threshold is not None:
+            live &= self._may_clear(d_plane, q, prior, np.asarray(threshold, float))
+        i, j = np.nonzero(live)
+        d = _joint_distance(self.hulls, self.weight, j, d_plane[i, j], q[i, j])
+        scores = np.full(live.shape, -np.inf)
+        scores[i, j] = (
+            (self.shape[j] - 1.0) * np.log(d) - prior[i, j] - d / self.scale[j] + self.log_const[j]
         )
-        return np.where(self.blocked[rows], -np.inf, scores)
+        return scores
+
+    def _may_clear(
+        self, d_plane: np.ndarray, q: np.ndarray, prior: np.ndarray, threshold: np.ndarray
+    ) -> np.ndarray:
+        """(n, n_patches) False where the score provably stays below the row's threshold."""
+        w = self.weight
+        lateral = self.hulls.lateral_floor(q)
+        floor = ((1.0 + w) * d_plane + w * (lateral * lateral)) * (1.0 - 1e-9)
+        # the score rises up to the mode and falls beyond it
+        d = np.maximum(np.maximum(floor, _DIST_CLAMP), self.mode)
+        log_term = (self.shape - 1.0) * np.log(d)
+        ratio = d / self.scale
+        bound = log_term - prior - ratio + self.log_const
+        slack = 1e-9 * (1.0 + np.abs(log_term) + np.abs(prior) + ratio + np.abs(self.log_const))
+        return ~(bound + slack < threshold[:, None])
 
 
 def classify_batch(
@@ -272,12 +326,14 @@ def classify_batch(
         return [None] * len(idx)
     if stack is None:
         stack = PatchStack(patches, cloud.positions, rig)
-    scores = stack.scores(idx)
+    threshold = cfg.log_threshold + cloud.penalty[idx] + noise_model_offset(rig.noise_model)
+    # entries the bound drops were below their row's threshold, so they can
+    # neither clear it nor beat a posterior that does
+    scores = stack.scores(idx, threshold)
     # np.argmax returns the first maximum, and patches are kept sorted by id,
     # so exact ties resolve to the lowest patch id
     best_col = np.argmax(scores, axis=1)
     best = scores[np.arange(len(idx)), best_col]
-    threshold = cfg.log_threshold + cloud.penalty[idx] + noise_model_offset(rig.noise_model)
     ok = np.isfinite(best) & (best >= threshold)
     return [patches[col].id if good else None for col, good in zip(best_col, ok)]
 

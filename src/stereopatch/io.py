@@ -68,9 +68,8 @@ def save_cloud(
         rows["label"] = labels
         Path(path).write_bytes(header.encode("ascii") + rows.tobytes())
         return
-    body = "".join(
-        " ".join("%.17g" % v for v in columns[i]) + " %d\n" % labels[i] for i in range(n)
-    )
+    row = "%.17g %.17g %.17g %.17g %.17g %.17g %.17g %d\n"  # _PLY_FLOAT_PROPS, then the label
+    body = "".join(row % (*values, label) for values, label in zip(columns.tolist(), labels.tolist()))
     Path(path).write_text(header + body)
 
 

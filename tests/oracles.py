@@ -5,6 +5,8 @@ share: dense sampling instead of closed-form projection, lstsq instead of
 accumulated normal equations, qhull / exhaustive edge tests instead of the
 incremental monotone chain, scipy.stats instead of hand-rolled log pdfs.
 Tests compare the two routes; neither side is derived from the other.
+The oracles for the package's exact bounds are the other kind: the same
+computation without the bound, so a pruned result must equal it bit for bit.
 """
 
 import numpy as np
@@ -137,6 +139,34 @@ def dense_polygon_polygon_sq_dist(verts_a, verts_b, grid=250):
     return best
 
 
+def unpruned_hull_hull_min_sq_dist(hull_a, hull_b):
+    """Min squared distance between two solid hulls, measuring every edge pair.
+
+    The package's ``hull_hull_min_sq_dist`` skips the edge pairs whose
+    bounding boxes lie farther apart than the best distance so far; this
+    reference runs the same steps without that skip, the full double loop
+    over the edges, so the two must agree bit for bit.
+    """
+    from stereopatch import geometry
+
+    if hull_b.vertices.tobytes() < hull_a.vertices.tobytes():
+        hull_a, hull_b = hull_b, hull_a
+    if geometry._any_edge_pierces(hull_a, hull_b) or geometry._any_edge_pierces(hull_b, hull_a):
+        return 0.0
+    best = float(np.min(geometry.point_hull_sq_dist_many(hull_b, hull_a.vertices)))
+    best = min(best, float(np.min(geometry.point_hull_sq_dist_many(hull_a, hull_b.vertices))))
+    if best == 0.0:
+        return 0.0
+    a0, a1 = hull_a.vertices, np.roll(hull_a.vertices, -1, axis=0)
+    b0, b1 = hull_b.vertices, np.roll(hull_b.vertices, -1, axis=0)
+    for i in range(len(a0)):
+        for j in range(len(b0)):
+            d = geometry._seg_seg_sq_dist(a0[i], a1[i], b0[j], b1[j])
+            if d < best:
+                best = d
+    return best
+
+
 # -- convex hulls in 2D ------------------------------------------------------
 
 def brute_hull_vertex_set(points2d, eps=1e-9):
@@ -178,6 +208,19 @@ def point_set_key(points):
     """Canonical sorted tuple-of-tuples for comparing vertex coordinate sets."""
     rows = sorted(tuple(np.round(row, 9)) for row in np.asarray(points))
     return tuple(rows)
+
+
+# -- classification ------------------------------------------------------------
+
+def threshold_decisions(scores, threshold, ids):
+    """Each row's winner on a full (points x patches) score matrix: the id of
+    the first column holding the row's maximum, or None when that maximum is
+    not finite or falls below the row's threshold."""
+    decisions = []
+    for row, level in zip(np.asarray(scores), np.asarray(threshold)):
+        k = int(np.argmax(row))
+        decisions.append(ids[k] if np.isfinite(row[k]) and row[k] >= level else None)
+    return decisions
 
 
 # -- distributions -----------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereopatch import geometry
 from stereopatch.geometry import (
@@ -345,6 +347,26 @@ def test_boundary_kernel_equals_the_broadcast_formula_bit_for_bit():
         assert got.tobytes() == expect.tobytes()
 
 
+def test_lateral_floor_is_zero_inside_and_below_the_boundary_distance_outside():
+    rng = np.random.default_rng(33)
+    for trial in range(10):
+        hulls = [hull_from_random_points(rng, n=int(rng.integers(3, 40)))[0] for _ in range(4)]
+        stack = HullStack(hulls)
+        weights = rng.dirichlet(np.ones(3), size=(len(hulls), 6))
+        inner = np.vstack([w @ h.vertices[:3] for w, h in zip(weights, hulls)])
+        points = np.vstack([inner, hulls[0].vertices, rng.uniform(-4.0, 4.0, (30, 3))])
+        q = stack.to_2d(points)
+        floor = stack.lateral_floor(q)
+        inside = stack.contains_2d(q)
+        assert np.all(floor[inside] == 0.0)
+        assert np.all(floor[~inside] ** 2 <= stack.boundary_sq_dist_2d(q)[~inside])
+        assert np.any(floor > 0.0)
+    # a vertex list that is not a convex, counter-clockwise polygon bounds nothing
+    hull, plane, _ = hull_from_random_points(rng)
+    assert np.isfinite(hull.bounding_circle[1])
+    assert hull_from_vertices(plane, hull.vertices[::-1]).bounding_circle[1] == np.inf
+
+
 def test_plane_basis_equals_the_np_cross_form():
     rng = np.random.default_rng(32)
     normals = rng.normal(size=(3000, 3))
@@ -458,6 +480,52 @@ def test_hull_distance_matches_dense_sampling():
         assert expect > 0.5
         assert got == pytest.approx(expect, rel=1e-3)
         assert got <= expect + 1e-12
+
+
+HULL_DIST_LIMIT = 0.065  # the merge gate's hull_dist_max on every preset
+
+
+@settings(max_examples=160, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(
+        ["apart", "touching", "stacked at the limit", "side by side at the limit", "crossing edges"]
+    ),
+)
+def test_hull_distance_equals_the_unpruned_double_loop(seed, kind):
+    rng = np.random.default_rng(seed)
+    hull_a, plane_a, _ = hull_from_random_points(rng, n=int(rng.integers(3, 24)), span=rng.uniform(0.1, 2.0))
+    gap = np.sqrt(HULL_DIST_LIMIT) * rng.choice([1.0, 1.0 + 1e-12, 1.0 - 1e-12])
+    if kind in ("apart", "touching"):
+        pts_b, *_ = random_plane_points(rng, int(rng.integers(3, 24)), span=rng.uniform(0.1, 2.0))
+        if kind == "apart":
+            pts_b = pts_b + rng.normal(size=3) * rng.uniform(0.0, 3.0)
+        else:
+            corner = build_hull(fit_plane(pts_b, choose_plane_form(pts_b)), pts_b).sources[0]
+            pts_b = pts_b + (hull_a.vertices[rng.integers(len(hull_a.vertices))] - corner)
+    elif kind == "stacked at the limit":
+        pts_b = hull_a.vertices + plane_a.normal * gap
+    elif kind == "side by side at the limit":
+        along = hull_a.vertices @ hull_a.axis_u
+        pts_b = hull_a.vertices + hull_a.axis_u * (np.ptp(along) + gap)
+    else:
+        # Axis-aligned edges, whose boxes lie exactly as far apart as the
+        # edges do: a's top edge and b's bottom edge cross at the limit, just
+        # closer than any vertex comes to the other hull, so only the edge
+        # loop finds the distance, and only by the pair the box gap ties.
+        size = rng.uniform(0.5, 2.0)
+        pts_a = np.array([[0.0, 0, 0], [size, 0, 0], [size, 0, -size], [0, 0, -size]])
+        plane_a = fit_plane(pts_a, PlaneForm.Y)
+        hull_a = build_hull(plane_a, pts_a)
+        eps = gap * 10.0 ** rng.uniform(-4.0, -1.0)
+        x = size * rng.uniform(0.2, 0.8)
+        pts_b = np.array([[x, -size, gap], [x, eps, gap], [x, eps, gap + size], [x, -size, gap + size]])
+    hull_b = build_hull(fit_plane(pts_b, choose_plane_form(pts_b)), pts_b)
+    got = hull_hull_min_sq_dist(hull_a, hull_b)
+    expect = oracles.unpruned_hull_hull_min_sq_dist(hull_a, hull_b)
+    assert got == expect and np.signbit(got) == np.signbit(expect)
+    if kind == "crossing edges":
+        assert got == pytest.approx(gap * gap, rel=1e-9)
 
 
 def test_hull_distance_is_symmetric():

@@ -109,10 +109,19 @@ def build_micro(n=1000, seed=0, half=0.5, depth=4.0, noise=0.001):
 # -- joint distance -----------------------------------------------------------
 
 
+def grid_joint_distance(hulls, weight, points):
+    """(n, P) joint distances of (n, 3) points to every stacked hull, each
+    (point, hull) pair through the classifier's pair kernel."""
+    s = hulls.signed_dist(points)
+    q = hulls.to_2d(points)
+    i, j = np.indices(s.shape).reshape(2, -1)
+    return growing._joint_distance(hulls, weight, j, (s * s)[i, j], q[i, j]).reshape(s.shape)
+
+
 def joint_distance(patch, points):
     """The classifier's joint distance of (n, 3) points to one patch."""
     pts = np.atleast_2d(np.asarray(points, float))
-    return growing._joint_distance(HullStack([patch.hull]), patch.boundary_weight, pts)[:, 0]
+    return grid_joint_distance(HullStack([patch.hull]), np.array([patch.boundary_weight]), pts)[:, 0]
 
 
 def test_on_plane_inside_hull_is_clamped():
@@ -608,6 +617,97 @@ def test_growth_classifies_a_batch_of_queued_points_per_stacked_pass_by_default(
     assert len(rows) < sum(rows)
 
 
+# -- the threshold bound ------------------------------------------------------
+
+# the three benchmark scenes, then a denser chessboard and two noisy clouds
+BOUND_SCENES = [
+    ("two-plane", 1000, 0.001),
+    ("chessboard", 500, 0.001),
+    ("random-planes-16", 400, 0.001),
+    ("chessboard", 1000, 0.001),
+    ("random-planes-16", 400, 0.1),
+    ("random-planes-16", 400, 0.5),
+]
+
+
+@pytest.mark.parametrize("preset, points_per_face, sigma", BOUND_SCENES)
+def test_bounded_classification_decides_as_the_full_matrix(monkeypatch, preset, points_per_face, sigma):
+    # Every growth batch: the decisions equal argmax-and-threshold on the full
+    # score matrix, every entry the bound keeps is exact, and no entry it
+    # drops reaches its row's threshold.
+    spec = synth.SceneSpec(preset, points_per_face, sigma, 0)
+    rig = synth.default_rig(spec.pixel_noise)
+    cloud, _, segments = synth.generate(spec, rig)
+    seen = {"pairs": 0, "dropped": 0}
+    real = growing.classify_batch
+
+    def checked(patches, cloud, indices, cfg, rig, stack=None):
+        decisions = real(patches, cloud, indices, cfg, rig, stack)
+        idx = np.asarray(indices)
+        threshold = cfg.log_threshold + cloud.penalty[idx] + noise_model_offset(rig.noise_model)
+        full = stack.scores(idx)
+        bounded = stack.scores(idx, threshold)
+        assert decisions == oracles.threshold_decisions(full, threshold, [p.id for p in patches])
+        dropped = (bounded == -np.inf) & (full != -np.inf)
+        assert np.array_equal(bounded, np.where(dropped, -np.inf, full), equal_nan=True)
+        assert np.all(full[dropped] < np.broadcast_to(threshold[:, None], full.shape)[dropped])
+        seen["pairs"] += full.size
+        seen["dropped"] += np.count_nonzero(dropped)
+        return decisions
+
+    monkeypatch.setattr(growing, "classify_batch", checked)
+    result = pipeline.run_pipeline(cloud, rig, segments, pipeline.RunConfig().for_scene(spec.scene_id))
+    assert result.patches
+    assert 0 < seen["dropped"] < seen["pairs"]
+
+
+def test_the_bound_holds_below_the_gamma_mode():
+    # Shape 3 puts the score's peak at d = 2 * scale = 1, beyond every
+    # distance here, so a point's score rises with its distance; the bound
+    # must then be taken at the mode, not at the distance floor.
+    patch, rig = square_patch(weight=1.0, theta=GammaParams(3.0, 0.5))
+    rng = np.random.default_rng(60)
+    points = np.column_stack([rng.uniform(-0.3, 1.3, (200, 2)), rng.uniform(-0.2, 0.2, 200)])
+    stack = PatchStack([patch], points, rig)
+    rows = np.arange(len(points))
+    full = stack.scores(rows)
+    assert np.all(np.isfinite(full))
+    assert np.array_equal(stack.scores(rows, full[:, 0] - 1e-6), full)
+    dropped = stack.scores(rows, full[:, 0] + 1e-6)
+    assert np.all((dropped == full) | (dropped == -np.inf))
+
+
+def test_a_point_the_containment_tolerance_admits_past_a_short_edge_is_never_pruned():
+    # A sliver whose tip is cut by an edge 2e-9 long.  The containment test
+    # admits points up to tol / |e| = 5e-4 past that edge, as far as the long
+    # edges allow (1e-6 here), so points just past the tip count inside while
+    # lying beyond every vertex's distance from the vertex centroid.
+    tip = 1e-9
+    corners = np.array(
+        [[-1e-3, 0.0], [0.0, -1e-3], [1.0, -tip], [1.0, tip], [0.0, 1e-3]]
+    )
+    verts = np.column_stack([corners, np.full(5, 4.0)])
+    plane = fit_plane(verts, PlaneForm.Z)
+    hull = build_hull(plane, verts)
+    assert len(hull.vertices) == 5
+    past = np.column_stack([1.0 + 1e-7 * np.arange(1, 10), np.zeros(9), np.full(9, 4.0)])
+    hulls = HullStack([hull])
+    q = hulls.to_2d(past)[:, 0]
+    assert np.all(hulls.contains_2d(q, np.zeros(9, dtype=int)))
+    center = hull.verts2d.mean(axis=0)
+    vertex_radius = np.max(np.hypot(*(hull.verts2d - center).T))
+    assert np.all(np.hypot(*(q - center).T) > vertex_radius * (1.0 + 1e-9) + 5e-8)
+    # a steep score: the lateral term past the vertex radius alone would
+    # move it by far more than the threshold's margin
+    base, rig = square_patch()
+    patch = replace(base, plane=plane, hull=hull, theta=GammaParams(1.0, 1e-9), boundary_weight=1e6)
+    stack = PatchStack([patch], past, rig)
+    rows = np.arange(len(past))
+    full = stack.scores(rows)
+    assert np.all(np.isfinite(full))
+    assert np.array_equal(stack.scores(rows, full[:, 0] - 1e-6), full)
+
+
 # -- accepting points ---------------------------------------------------------
 
 
@@ -748,7 +848,7 @@ def test_seed_accept_and_merge_fit_theta_to_the_joint_distances():
         assert np.array_equal(p.plane.sq_dist_many(x), HullStack([p.hull]).signed_dist(x)[:, 0] ** 2)
     # the refit's distances are the classifier's, column for column
     stack = PatchStack(patches, cloud.positions, scene.rig)
-    d = growing._joint_distance(stack.hulls, stack.weight, cloud.positions)
+    d = grid_joint_distance(stack.hulls, stack.weight, cloud.positions)
     for j, p in enumerate(patches):
         assert np.array_equal(d[:, j], joint_distance(p, cloud.positions))
 
@@ -835,26 +935,38 @@ def test_batched_growth_matches_single_stepping():
 
 
 def test_growth_tests_containment_only_for_the_scored_rows(monkeypatch):
-    # Refits read the plane term alone, so the only rows that reach the
-    # containment test are those the classifier scores; an O(members) test
-    # per accept would add every member row again.
+    # Refits read the plane term alone, so no accept reaches the containment
+    # test; an O(members) test per accept would add every member row again.
+    # Only (point, patch) pairs the classifier scores reach it, and of those
+    # only the pairs that the threshold bound keeps.
     scene = build_micro(n=900, seed=8)
-    rows = {"inside": 0, "scored": 0}
-    inside_polygons, scores = geometry._inside_polygons, PatchStack.scores
+    pairs = {"inside": 0, "scored": 0, "inside_accept": 0}
+    accepting = []
+    inside_polygons, scores, accept_ = geometry._inside_polygons, PatchStack.scores, growing.accept
 
     def counting_inside(q, *args):
-        rows["inside"] += len(q)
+        pairs["inside"] += q.size // 2
+        pairs["inside_accept"] += len(accepting)
         return inside_polygons(q, *args)
 
-    def counting_scores(self, idx):
-        rows["scored"] += len(idx)
-        return scores(self, idx)
+    def counting_scores(self, idx, threshold=None):
+        pairs["scored"] += len(idx) * len(self.patches)
+        return scores(self, idx, threshold)
+
+    def flagged_accept(*args):
+        accepting.append(True)
+        try:
+            return accept_(*args)
+        finally:
+            accepting.pop()
 
     monkeypatch.setattr(geometry, "_inside_polygons", counting_inside)
     monkeypatch.setattr(PatchStack, "scores", counting_scores)
+    monkeypatch.setattr(growing, "accept", flagged_accept)
     result = grow([scene.patch], scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
     assert result.accepted > 0
-    assert rows["inside"] == rows["scored"] > 0
+    assert pairs["inside_accept"] == 0
+    assert 0 < pairs["inside"] <= pairs["scored"]
 
 
 def test_growth_stops_at_max_epochs_and_flags_truncation(caplog):

@@ -116,6 +116,23 @@ def test_ascii_cloud_roundtrip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_ascii_rows_equal_the_per_value_format(tmp_path):
+    # one format string per row writes what formatting each value alone did
+    cloud, labels = small_cloud()
+    cloud.positions[0] = [-0.0, 1e-300, -2.5e-17]
+    cloud.pixels_left[1] = [3.0, -7.0]
+    cloud.pixels_right[2] = [5e-324, 123456789012345.0]
+    labels[:3] = [-1, 0, 2_000_000_000]
+    path = tmp_path / "cloud.ply"
+    io.save_cloud(path, cloud, labels)
+    columns = np.hstack([cloud.positions, cloud.pixels_left, cloud.pixels_right])
+    rows = [" ".join("%.17g" % v for v in columns[i]) + " %d\n" % labels[i] for i in range(len(labels))]
+    text = path.read_text()
+    assert text.endswith("end_header\n" + "".join(rows))
+    assert "-0 1e-300 -2.4999999999999999e-17 " in text
+    assert " 3 -7 " in text and " 4.9406564584124654e-324 123456789012345 " in text
+
+
 def test_binary_cloud_roundtrip(tmp_path):
     cloud, labels = small_cloud(seed=4)
     path = tmp_path / "cloud.ply"
@@ -771,6 +788,15 @@ def test_cli_sweep_thresholds_writes_grid_csv(tmp_path, capsys):
         rows = list(reader)
     assert len(rows) == 4
     assert [float(r["log_threshold"]) for r in rows] == [-35.0, -35.0, -5.0, -5.0]
+
+
+@pytest.mark.parametrize("axis", ["noise", "thresholds"])
+def test_cli_sweep_rejects_a_sample_count_below_one(tmp_path, capsys, axis):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--axis", axis, "--samples", "0", "--out", out)
+    assert code == 2
+    assert "--samples must be at least 1" in err
+    assert not out.exists()
 
 
 def test_cli_sweep_rejects_bad_values(tmp_path, capsys):
