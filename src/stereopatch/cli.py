@@ -325,6 +325,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # an output path that cannot be created or written (readers raise InputError)
+        where = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        print(f"error: {where}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,13 +5,15 @@ over its members' point-to-patch distances, and its members as an int array
 in acceptance order; that array is the one record of membership, and
 ``member_labels`` derives each point's patch id from it.  Seeding and growth
 claim points in the int array ``assigned_to`` (patch id, or -1 while free).
-Each epoch serves the unassigned points nearest-camera-first; a point joins
-the patch with the highest log posterior provided that posterior clears a
-per-point threshold built from the global acceptance level and the point's
-noise penalty.  Rejected points are retried in the next epoch, after the
-patches have grown.  An accept folds the points into the plane's running
-sums, grows the hull from the members at its vertices and the accepted points
-alone, and refits the Gamma parameters over every member.
+The first epoch serves the unassigned points nearest-camera-first, in
+batches; a point joins the patch with the highest log posterior provided that
+posterior clears a per-point threshold built from the global acceptance level
+and the point's noise penalty.  Rejected points are retried in the next
+epoch, after the patches have grown: a retry epoch scores its whole queue
+against the patch state at its start, so its decisions do not depend on the
+order it serves its points in.  An accept folds the points into the plane's
+running sums, grows the hull from the members at its vertices and the
+accepted points alone, and refits the Gamma parameters over every member.
 
 The joint distance has one implementation, ``_joint_distance``, which the
 classifier scores with.  Inside a hull it is (1 + w) times the plane term, so
@@ -55,6 +57,12 @@ from .stereo import _DIST_CLAMP, PointCloud, StereoRig, noise_model_offset, proj
 
 logger = logging.getLogger(__name__)
 
+# rows ``classify_batch`` hands to one ``PatchStack.scores`` call: a retry
+# epoch's whole queue is scored in blocks of this many rows, so its scratch
+# arrays stay small; nothing is accepted within a pass, so the block size
+# cannot change a decision
+_SCORE_ROWS = 1024
+
 
 def _check_config(cfg, counts: tuple = (), reals: tuple = (), optional: tuple = ()) -> None:
     """Raise ValueError unless each named ``counts`` field is an integer and each ``reals``
@@ -78,9 +86,11 @@ class GrowConfig:
     the intensity weight scales the image-prior contribution, which growth
     evaluates once per point and patch.  Each point is scored against all
     patches at once by the stacked scorer (``PatchStack``).  ``batch_size``
-    queued points (32 by default) are classified against the same patch
-    state in one stacked pass before the accepting patches' fits are
-    refreshed; ``batch_size`` = 1 refreshes them after every point.
+    is the first epoch's batch: that many queued points (32 by default) are
+    classified against the same patch state in one stacked pass before the
+    accepting patches' fits are refreshed, and ``batch_size`` = 1 refreshes
+    them after every point.  Each retry epoch classifies its whole queue in
+    one pass.
     """
 
     log_threshold: float = -15.0
@@ -315,7 +325,9 @@ def classify_batch(
     log_threshold + noise penalty + noise-model offset for that point.
     A patch never wins a point it pruned at seeding (``Patch.pruned``).
     ``stack`` is the stacked scorer of ``patches`` over ``cloud``, as
-    ``grow`` keeps it; without one it is built for this call.
+    ``grow`` keeps it; without one it is built for this call.  Every point
+    is scored against the same patch state, in blocks of ``_SCORE_ROWS``
+    rows.
     """
     if rig.noise_model is None:
         raise ValueError("rig has no calibrated noise model")
@@ -327,13 +339,17 @@ def classify_batch(
     if stack is None:
         stack = PatchStack(patches, cloud.positions, rig)
     threshold = cfg.log_threshold + cloud.penalty[idx] + noise_model_offset(rig.noise_model)
-    # entries the bound drops were below their row's threshold, so they can
-    # neither clear it nor beat a posterior that does
-    scores = stack.scores(idx, threshold)
-    # np.argmax returns the first maximum, and patches are kept sorted by id,
-    # so exact ties resolve to the lowest patch id
-    best_col = np.argmax(scores, axis=1)
-    best = scores[np.arange(len(idx)), best_col]
+    best_col = np.empty(len(idx), dtype=int)
+    best = np.empty(len(idx))
+    for start in range(0, len(idx), _SCORE_ROWS):
+        block = slice(start, start + _SCORE_ROWS)
+        # entries the bound drops were below their row's threshold, so they can
+        # neither clear it nor beat a posterior that does
+        scores = stack.scores(idx[block], threshold[block])
+        # np.argmax returns the first maximum, and patches are kept sorted by id,
+        # so exact ties resolve to the lowest patch id
+        best_col[block] = np.argmax(scores, axis=1)
+        best[block] = scores[np.arange(len(scores)), best_col[block]]
     ok = np.isfinite(best) & (best >= threshold)
     return [patches[col].id if good else None for col, good in zip(best_col, ok)]
 
@@ -398,6 +414,37 @@ class GrowResult:
     accepted: int
 
 
+def _serve_epoch(
+    queue: np.ndarray,
+    batch_size: int,
+    cloud: PointCloud,
+    cfg: GrowConfig,
+    rig: StereoRig,
+    stack: PatchStack,
+    assigned_to: np.ndarray,
+) -> np.ndarray:
+    """Serve one epoch's queue in batches of ``batch_size`` points; returns the
+    points rejected, in queue order.
+
+    Each batch is classified against the patch state the batches before it
+    left; then each winning patch takes its points of the batch in one
+    ``accept``, in queue order, lowest patch id first, and its stacked row is
+    re-read.
+    """
+    patches = stack.patches
+    patches_by_id = {p.id: p for p in patches}
+    rejected = []
+    for start in range(0, len(queue), batch_size):
+        batch = queue[start : start + batch_size]
+        decisions = classify_batch(patches, cloud, batch, cfg, rig, stack)
+        won = np.array([-1 if d is None else d for d in decisions], dtype=int)
+        rejected.append(batch[won < 0])
+        for pid in np.unique(won[won >= 0]).tolist():
+            accept(patches_by_id[pid], cloud, assigned_to, batch[won == pid])
+            stack.refresh(pid)
+    return np.concatenate(rejected)
+
+
 def grow(
     patches: list[Patch],
     cloud: PointCloud,
@@ -407,12 +454,16 @@ def grow(
 ) -> GrowResult:
     """Run the acceptance loop until an epoch makes no progress.
 
-    Each epoch serves its points nearest first, by the sum of squared
-    distances to the two camera centers (equal sums go to the higher index
-    first), so near points are classified while the patches are still small.
-    The first epoch serves every point free in ``assigned_to``; each later
-    one serves the points the one before rejected, in the order they were
-    served.  The loop ends when an epoch accepts nothing, or after ``max_epochs`` (flagged
+    The first epoch serves every point free in ``assigned_to``, nearest
+    first, by the sum of squared distances to the two camera centers (equal
+    sums go to the higher index first), so near points are classified while
+    the patches are still small.  It serves them in batches of
+    ``cfg.batch_size``, each classified against the patches the batches
+    before it grew.  Each later (retry) epoch serves the points the one
+    before rejected: it classifies its whole queue against the patch state
+    at the epoch's start, then each winning patch accepts its points at once,
+    so its decisions do not depend on the order of its queue.  The loop ends
+    when an epoch accepts nothing, or after ``max_epochs`` (flagged
     truncated).  One ``PatchStack`` over the cloud scores every batch, so a
     patch never takes a point its seed pruned (``Patch.pruned``).  Without
     patches nothing can be accepted, and no epoch runs.
@@ -428,18 +479,10 @@ def grow(
     epochs = 0
     truncated = False
     accepted_total = 0
-    patches_by_id = {p.id: p for p in patches}
 
     while len(queue):
-        rejected = []
-        for start in range(0, len(queue), cfg.batch_size):
-            batch = queue[start : start + cfg.batch_size]
-            decisions = classify_batch(patches, cloud, batch, cfg, rig, stack)
-            rejected.append(batch[[d is None for d in decisions]])
-            for pid in sorted({d for d in decisions if d is not None}):
-                accept(patches_by_id[pid], cloud, assigned_to, batch[[d == pid for d in decisions]])
-                stack.refresh(pid)
-        rejected = np.concatenate(rejected)
+        batch_size = cfg.batch_size if epochs == 0 else len(queue)
+        rejected = _serve_epoch(queue, batch_size, cloud, cfg, rig, stack, assigned_to)
         epochs += 1
         accepted_total += len(queue) - len(rejected)
         if len(rejected) == len(queue):

@@ -75,7 +75,10 @@ def save_cloud(
 
 def load_cloud(path) -> tuple[PointCloud, np.ndarray, str | None]:
     """Read a labeled PLY cloud; returns (cloud, labels, scene_id)."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
     marker = b"end_header\n"
     cut = raw.find(marker)
     if not raw.startswith(b"ply\n") or cut < 0:

@@ -147,9 +147,34 @@ def seed_patch(
     the patch as ``Patch.pruned``, and growth never offers them to this patch
     again (other patches may take them).
     """
-    radius = cfg.resolve_radius(cloud)
+    return _seed_sphere(
+        pair,
+        np.sum((cloud.positions - pair.seed) ** 2, axis=1),
+        cfg.resolve_radius(cloud),
+        cloud,
+        cfg,
+        assigned_to,
+        patch_id,
+        boundary_weight,
+        intensity_weight,
+    )
+
+
+def _seed_sphere(
+    pair: SegmentPair,
+    d2: np.ndarray,
+    radius: float,
+    cloud: PointCloud,
+    cfg: SeedConfig,
+    assigned_to: np.ndarray,
+    patch_id: int,
+    boundary_weight: float,
+    intensity_weight: float,
+) -> Patch | SeedRejection:
+    """``seed_patch`` given every point's squared distance ``d2`` to the seed
+    and the resolved radius r0, which ``seed_all`` computes once per seed and
+    once per run."""
     r2 = radius * radius
-    d2 = np.sum((cloud.positions - pair.seed) ** 2, axis=1)
     free = assigned_to < 0
     k = cfg.min_cluster - 1
     if np.count_nonzero(free) > k:
@@ -223,15 +248,24 @@ def seed_all(
     rejections: list[SeedRejection] = []
     kept_spheres: list[np.ndarray] = []
     for i in order:
-        sphere = np.sum((cloud.positions - pairs[i].seed) ** 2, axis=1) <= radius * radius
+        d2 = np.sum((cloud.positions - pairs[i].seed) ** 2, axis=1)
+        sphere = d2 <= radius * radius
         size = np.count_nonzero(sphere)
         if size and any(
             np.count_nonzero(sphere & kept) > cfg.overlap_drop * size for kept in kept_spheres
         ):
             rejections.append(SeedRejection("duplicate seed", pairs[i]))
             continue
-        result = seed_patch(
-            pairs[i], cloud, cfg, assigned_to, len(patches), boundary_weight, intensity_weight
+        result = _seed_sphere(
+            pairs[i],
+            d2,
+            radius,
+            cloud,
+            cfg,
+            assigned_to,
+            len(patches),
+            boundary_weight,
+            intensity_weight,
         )
         if isinstance(result, Patch):
             patches.append(result)

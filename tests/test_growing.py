@@ -601,20 +601,86 @@ def test_growth_keeps_its_stack_equal_to_a_fresh_one(monkeypatch):
 
 
 def test_growth_classifies_a_batch_of_queued_points_per_stacked_pass_by_default(monkeypatch):
+    # The first epoch classifies its queue, every free point, in passes of
+    # batch_size points; each retry epoch classifies its whole queue, every
+    # point still free, in one pass.
     assert GrowConfig().batch_size == 32
-    scene = build_micro(n=900, seed=11)
-    rows = []
     real = growing.classify_batch
+    micro, chess = build_micro(n=900, seed=11), build_seeded("chessboard", 300)
+    for scene, patches in ((micro, [micro.patch]), (chess, chess.patches)):
+        assert scene.cfg.batch_size == 32
+        free = np.flatnonzero(scene.assigned_to < 0)
+        calls = []
 
-    def counted(patches, cloud, indices, *args):
-        rows.append(len(indices))
-        return real(patches, cloud, indices, *args)
+        def counted(patches, cloud, indices, *args):
+            calls.append((np.asarray(indices), np.flatnonzero(scene.assigned_to < 0)))
+            return real(patches, cloud, indices, *args)
 
-    monkeypatch.setattr(growing, "classify_batch", counted)
-    result = grow([scene.patch], scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
-    assert result.accepted > 0
-    assert max(rows) == 32
-    assert len(rows) < sum(rows)
+        monkeypatch.setattr(growing, "classify_batch", counted)
+        result = grow(patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
+        assert result.accepted > 0 and not result.truncated
+        first = -(-len(free) // 32)
+        rows = [len(idx) for idx, _ in calls]
+        assert rows[: first - 1] == [32] * (first - 1) and 0 < rows[first - 1] <= 32
+        assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in calls[:first]])), free)
+        assert len(calls) == first + result.epochs - 1
+        for idx, free_now in calls[first:]:
+            assert np.array_equal(np.sort(idx), free_now)
+    # the chessboard retries long queues, longer than one row block
+    assert result.epochs > 2 and max(rows[first:]) > growing._SCORE_ROWS
+
+
+def test_a_retry_epoch_decides_independently_of_its_queue_order(monkeypatch):
+    # Every retry epoch serves its queue in a shuffled order: every patch
+    # ends with the same members, only in another acceptance order.
+    rng = np.random.default_rng(5)
+    real = growing._serve_epoch
+    orders = []
+    for shuffle in (False, True):
+        scene = build_seeded("chessboard", 300)
+        retried = []
+
+        def served(queue, batch_size, *args):
+            if batch_size == len(queue) and shuffle:
+                queue = rng.permutation(queue)
+            retried.append(batch_size == len(queue))
+            return real(queue, batch_size, *args)
+
+        monkeypatch.setattr(growing, "_serve_epoch", served)
+        result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
+        assert retried == [False] + [True] * (result.epochs - 1)
+        orders.append([p.members for p in result.patches])
+    assert result.epochs > 2 and len(orders[0]) == len(orders[1])
+    assert all(np.array_equal(np.sort(a), np.sort(b)) for a, b in zip(*orders))
+    assert not all(np.array_equal(a, b) for a, b in zip(*orders))
+
+
+def test_scoring_rows_in_one_block_or_several_decides_alike(monkeypatch):
+    # Nothing is accepted within a pass, so the block size cannot move a
+    # decision: growth ends with the same members in the same order.
+    outcomes = []
+    for rows in (7, 10**9):
+        monkeypatch.setattr(growing, "_SCORE_ROWS", rows)
+        scene = build_seeded("chessboard", 300)
+        free = np.flatnonzero(scene.assigned_to < 0)
+        decisions = classify_batch(scene.patches, scene.cloud, free, scene.cfg, scene.rig)
+        result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
+        outcomes.append((decisions, [(p.members, p.theta) for p in result.patches]))
+    (decisions_a, grown_a), (decisions_b, grown_b) = outcomes
+    assert decisions_a == decisions_b and any(d is not None for d in decisions_a)
+    assert len(grown_a) == len(grown_b)
+    for (members_a, theta_a), (members_b, theta_b) in zip(grown_a, grown_b):
+        assert np.array_equal(members_a, members_b) and theta_a == theta_b
+
+
+def test_chessboard_500_grows_without_truncation():
+    spec = synth.SceneSpec("chessboard", 500, 0.001, 0)
+    rig = synth.default_rig(spec.pixel_noise)
+    cloud, _, segments = synth.generate(spec, rig)
+    cfg = pipeline.RunConfig().for_scene(spec.scene_id)
+    result = pipeline.run_pipeline(cloud, rig, segments, cfg)
+    assert not result.grow_result.truncated
+    assert 1 < result.grow_result.epochs < cfg.grow_cfg.max_epochs
 
 
 # -- the threshold bound ------------------------------------------------------

@@ -573,6 +573,47 @@ def test_cli_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys, small_sce
     assert "--seed" in err and "-1" in err
 
 
+@pytest.mark.parametrize("command", ["extract", "calibrate"])
+@pytest.mark.parametrize("cloud, reason", [("nope.ply", "No such file or directory"),
+                                           (".", "Is a directory")])
+def test_cli_reports_a_cloud_it_cannot_read(tmp_path, capsys, small_scene, command, cloud, reason):
+    cloud = tmp_path / cloud
+    args = {
+        "extract": ["--segments", small_scene / "segments.json", "--out-dir", tmp_path / "out"],
+        "calibrate": ["--out", tmp_path / "cameras.json"],
+    }[command]
+    code, _, err = run_cli(
+        capsys, command, "--cloud", cloud, "--cameras", small_scene / "cameras.json", *args
+    )
+    assert code == 2
+    assert err == f"error: {cloud}: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ["extract", "synth", "calibrate"])
+def test_cli_reports_an_output_path_it_cannot_create(tmp_path, capsys, small_scene, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # extract's output directory is the file itself, the others' lie under it
+    out, reason = {
+        "extract": (blocker, "File exists"),
+        "synth": (blocker / "scene", "Not a directory"),
+        "calibrate": (blocker / "cameras.json", "Not a directory"),
+    }[command]
+    # the small scene is too sparse to extract, so extract reads a denser one
+    scene = synth_dir(tmp_path, "scene") if command == "extract" else small_scene
+    args = {
+        "extract": ["--cloud", scene / "cloud.ply", "--cameras", scene / "cameras.json",
+                    "--segments", scene / "segments.json", "--out-dir", out],
+        "synth": ["--preset", "two-plane", "--points-per-face", "50", "--out-dir", out],
+        "calibrate": ["--cloud", scene / "cloud.ply", "--cameras", scene / "cameras.json",
+                      "--out", out],
+    }[command]
+    capsys.readouterr()
+    code, _, err = run_cli(capsys, command, *args)
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: {out}: {reason}"
+
+
 def test_cli_synth_is_deterministic(tmp_path, capsys):
     dir_a = synth_dir(tmp_path, "a")
     dir_b = synth_dir(tmp_path, "b")
