@@ -60,7 +60,8 @@ def gamma_mle(values) -> GammaParams:
     x = np.asarray(values, float)
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("need at least two samples")
-    if np.any(x <= 0) or np.any(~np.isfinite(x)):
+    # a NaN fails both comparisons, as do 0, negative values and infinities
+    if not (x.min() > 0.0 and x.max() < np.inf):
         raise ValueError("non-positive distance")
     mean = float(np.mean(x))
     mean_log = float(np.mean(np.log(x)))

@@ -88,36 +88,40 @@ def choose_plane_form(points: np.ndarray) -> PlaneForm:
 
 
 def _accumulate(points: np.ndarray, form: PlaneForm) -> np.ndarray:
+    """The nine running sums of ``points``, in ``Plane.sums`` order.
+
+    Each term is one row of a C-contiguous (9, k) array, and one row-wise
+    reduction sums them all; every row goes through the pairwise summation
+    ``np.sum`` uses on a 1-D array, so each sum equals its own ``np.sum``.
+    """
     dep, i1, i2 = _FORM_AXES[form]
     a = points[:, i1]
     b = points[:, i2]
     w = points[:, dep]
-    return np.array(
-        [
-            np.sum(a * a),
-            np.sum(a * b),
-            np.sum(a),
-            np.sum(b * b),
-            np.sum(b),
-            float(len(points)),
-            np.sum(a * w),
-            np.sum(b * w),
-            np.sum(w),
-        ]
-    )
+    terms = np.empty((9, len(points)))
+    np.multiply(a, a, out=terms[0])
+    np.multiply(a, b, out=terms[1])
+    terms[2] = a
+    np.multiply(b, b, out=terms[3])
+    terms[4] = b
+    terms[5] = 1.0
+    np.multiply(a, w, out=terms[6])
+    np.multiply(b, w, out=terms[7])
+    terms[8] = w
+    return terms.sum(axis=1)
 
 
 def _solve_sums(sums: np.ndarray) -> np.ndarray:
     """Solve the symmetric 3x3 normal equations by adjugate/determinant."""
-    saa, sab, sa, sbb, sb, n, saw, sbw, sw = sums
-    m = np.array([[saa, sab, sa], [sab, sbb, sb], [sa, sb, n]])
+    saa, sab, sa, sbb, sb, n, saw, sbw, sw = sums.tolist()
     rhs = np.array([saw, sbw, sw])
 
     c00 = sbb * n - sb * sb
     c01 = sab * n - sb * sa
     c02 = sab * sb - sbb * sa
     det = saa * c00 - sab * c01 + sa * c02
-    scale = max(float(np.max(np.abs(m))), 1e-30)
+    # the largest entry of the matrix [[saa, sab, sa], [sab, sbb, sb], [sa, sb, n]]
+    scale = max(abs(saa), abs(sab), abs(sa), abs(sbb), abs(sb), abs(n), 1e-30)
     if abs(det) <= _DET_RTOL * scale**3:
         raise ValueError("rank-deficient fit")
 
@@ -258,13 +262,16 @@ class PlanarHull:
 
     @cached_property
     def contain_tol(self) -> float:
-        extent = float(np.max(np.ptp(self.verts2d, axis=0)))
+        # Python floats: each axis's max - min, as np.ptp takes it, without its overhead
+        xs, ys = self.verts2d.T.tolist()
+        extent = max(max(xs) - min(xs), max(ys) - min(ys))
         return _CONTAIN_RTOL * max(extent, 1e-12) ** 2
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:
         """(nverts, 2) vector from each 2D vertex to the next one."""
-        return np.roll(self.verts2d, -1, axis=0) - self.verts2d
+        v = self.verts2d
+        return np.concatenate((v[1:], v[:1])) - v
 
     @cached_property
     def edge_sq_lengths(self) -> np.ndarray:
@@ -360,10 +367,15 @@ class HullStack:
 
     Each hull's 2D vertex and edge arrays are padded to a common capacity by
     repeating its last real edge, so the every-edge containment test and the
-    min-over-edges boundary distance give the unpadded results.  Both take
-    either a grid of points against every hull or (point, hull) pairs, through
-    one kernel each.  ``set`` replaces one hull; the capacity grows by
-    doubling when a hull outgrows it.
+    min-over-edges boundary distance give the unpadded results; both read
+    the edges only up to the most vertices among the hulls tested.  The
+    point-wise methods take either a grid of points against every hull or,
+    with ``cols``, points against the hulls ``cols`` indexes, the two
+    broadcast together: (K, 3) points with (K,) cols are K (point, hull)
+    pairs.  Both forms run one kernel, so an entry has the same bits either
+    way.  ``lateral_floor`` bounds a grid of points against the hulls
+    ``cols``.  ``set`` replaces one hull; the capacity grows by doubling
+    when a hull outgrows it.
     """
 
     def __init__(self, hulls: list[PlanarHull]) -> None:
@@ -375,13 +387,19 @@ class HullStack:
         self.normal = np.empty((n, 3))
         self.offset = np.empty(n)
         self.tol = np.empty(n)
-        self.center = np.empty((n, 2))
         self.radius = np.empty(n)
+        # the bounding circle's centre lifted onto the hull plane, and
+        # |origin| + |2D centre|, the scale of the frame's rounding
+        self.center = np.empty((n, 3))
+        self.frame_norm = np.empty(n)
+        self.nverts = np.empty(n, dtype=int)
         self.starts = np.empty((n, cap, 2))
         self.edges = np.empty((n, cap, 2))
         self.edge_sq = np.empty((n, cap))
         for j, hull in enumerate(hulls):
             self.set(j, hull)
+        # lateral_floor expands squared distances about this point, near the hulls
+        self.ref = self.center.mean(axis=0) if n else np.zeros(3)
 
     @property
     def capacity(self) -> int:
@@ -406,7 +424,12 @@ class HullStack:
         self.normal[j] = hull.normal
         self.offset[j] = hull.offset
         self.tol[j] = hull.contain_tol
-        self.center[j], self.radius[j] = hull.bounding_circle
+        (cx, cy), self.radius[j] = hull.bounding_circle
+        origin = hull.origin.tolist()
+        frame = zip(origin, hull.axis_u.tolist(), hull.axis_v.tolist())
+        self.center[j] = [o + cx * u + cy * v for o, u, v in frame]
+        self.frame_norm[j] = math.hypot(*origin) + math.hypot(cx, cy)
+        self.nverts[j] = nv
         self.starts[j, :nv] = hull.verts2d
         self.starts[j, nv:] = hull.verts2d[-1]
         self.edges[j, :nv] = hull.edge_vectors
@@ -414,39 +437,88 @@ class HullStack:
         self.edge_sq[j, :nv] = hull.edge_sq_lengths
         self.edge_sq[j, nv:] = hull.edge_sq_lengths[-1]
 
-    def to_2d(self, points: np.ndarray) -> np.ndarray:
-        """(npts, nhulls, 2) in-plane coordinates of every point in every hull frame."""
-        rel = np.asarray(points, float)[:, None, :] - self.origin[None]
-        u = _dot_rows(rel, self.axis_u[None])
-        v = _dot_rows(rel, self.axis_v[None])
-        return np.stack((u, v), axis=2)
+    def to_2d(self, points: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """(npts, nhulls, 2) in-plane coordinates of every point in every hull
+        frame; with ``cols``, the coordinates of points (..., 3) in the frames
+        of hulls cols (...), shaped (..., 2)."""
+        points = np.asarray(points, float)
+        if cols is None:
+            points, cols = points[:, None, :], slice(None)
+        rel = points - self.origin[cols]
+        u = _dot_rows(rel, self.axis_u[cols])
+        v = _dot_rows(rel, self.axis_v[cols])
+        return np.stack((u, v), axis=-1)
 
-    def signed_dist(self, points: np.ndarray) -> np.ndarray:
-        """(npts, nhulls) signed distance of every point to every hull plane."""
-        return _dot_rows(np.asarray(points, float)[:, None, :], self.normal[None]) + self.offset
+    def signed_dist(self, points: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """(npts, nhulls) signed distance of every point to every hull plane;
+        with ``cols``, that of points (..., 3) to the planes of hulls cols (...)."""
+        points = np.asarray(points, float)
+        if cols is None:
+            points, cols = points[:, None, :], slice(None)
+        return _dot_rows(points, self.normal[cols]) + self.offset[cols]
+
+    def _edge_arrays(self, cols: np.ndarray | None) -> tuple:
+        """Stacked edge starts, vectors and squared lengths of the hulls ``cols``,
+        cut after the most vertices any of them has: the padding beyond only
+        repeats each hull's last edge."""
+        if cols is None:
+            cols = slice(None)
+        nv = int(self.nverts[cols].max(initial=1))
+        return self.starts[cols, :nv], self.edges[cols, :nv], self.edge_sq[cols, :nv]
 
     def contains_2d(self, q: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """(npts, nhulls) non-strict membership of q (npts, nhulls, 2) in each hull
         polygon; with ``cols``, the (K,) membership of q (K, 2) in hull cols[k]."""
-        if cols is None:
-            return _inside_polygons(q, self.starts, self.edges, self.tol)
-        return _inside_polygons(q, self.starts[cols], self.edges[cols], self.tol[cols])
+        starts, edges, _ = self._edge_arrays(cols)
+        return _inside_polygons(q, starts, edges, self.tol if cols is None else self.tol[cols])
 
     def boundary_sq_dist_2d(self, q: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """(npts, nhulls) min squared distance of q (npts, nhulls, 2) to each
         boundary; with ``cols``, the (K,) distance of q (K, 2) to hull cols[k]."""
-        if cols is None:
-            return _boundary_sq_dist(q, self.starts, self.edges, self.edge_sq)
-        return _boundary_sq_dist(q, self.starts[cols], self.edges[cols], self.edge_sq[cols])
+        return _boundary_sq_dist(q, *self._edge_arrays(cols))
 
-    def lateral_floor(self, q: np.ndarray) -> np.ndarray:
-        """(npts, nhulls) lower bound on the 2D distance of q (npts, nhulls, 2) to
-        each hull polygon: |q - centre| - radius of the hull's bounding circle,
-        shrunk for rounding.  It is 0 wherever the containment test may count
-        q inside, and at most the boundary distance wherever it counts q outside.
+    def lateral_floor(
+        self, points: np.ndarray, d_plane: np.ndarray, cols: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(npts, ncols) lower bound on the 2D distance of each point's in-plane
+        coordinates, as ``to_2d`` computes them, to the polygons of the hulls
+        ``cols`` (every hull by default), given ``d_plane``, the (npts, ncols)
+        squared signed distances s^2 of the (npts, 3) points to those hull
+        planes (``signed_dist`` squared).
+
+        A point x at signed distance s from a plane lies sqrt(|x - c|^2 - s^2)
+        in-plane from a point c of that plane, so no in-plane coordinates are
+        needed: the floor is that distance from the bounding-circle centre,
+        lifted onto the hull plane, less the circle's radius.  |x - c|^2 is
+        expanded about ``ref`` as |x|^2 - 2 x.c + |c|^2, one matrix product.
+        Before the root, the squared distance loses a * (2.001e-9 * a +
+        1e-12 * f) + (1e-12 * f)^2, with a = |x - ref| + |c - ref| >= |x - c|
+        and f = |x| + |frame origin| + |2D centre|.  The rounding of the
+        expansion is a few ulps of a^2, and that of the plane distance, of the
+        frame's lift and of ``to_2d`` a few ulps of a * f, so the floor stays
+        below the circle's floor on ``to_2d``'s coordinates shrunk by 1e-9,
+        even far from the world origin.  It is 0 wherever the containment
+        test may count a point inside, and at most the boundary distance
+        wherever it counts the point outside.
         """
-        r = np.hypot(q[..., 0] - self.center[:, 0], q[..., 1] - self.center[:, 1])
-        return np.maximum(r * (1.0 - 1e-9) - self.radius, 0.0)
+        cols = slice(None) if cols is None else cols
+        points = np.asarray(points, float)
+        x = points - self.ref
+        c = self.center[cols] - self.ref
+        xx = np.einsum("ij,ij->i", x, x)
+        cc = np.einsum("ij,ij->i", c, c)
+        r2 = x @ (-2.0 * c).T
+        r2 += xx[:, None]
+        r2 += cc
+        r2 -= d_plane
+        a = np.sqrt(xx)[:, None] + np.sqrt(cc)
+        f = np.sqrt(np.einsum("ij,ij->i", points, points))[:, None] + self.frame_norm[cols]
+        f *= 1e-12
+        r2 -= a * (2.001e-9 * a + f) + f * f
+        np.maximum(r2, 0.0, out=r2)
+        np.sqrt(r2, out=r2)
+        r2 -= self.radius[cols]
+        return np.maximum(r2, 0.0, out=r2)
 
 
 def _project(plane: Plane, points: np.ndarray) -> tuple[np.ndarray, tuple]:

@@ -11,9 +11,15 @@ posterior clears a per-point threshold built from the global acceptance level
 and the point's noise penalty.  Rejected points are retried in the next
 epoch, after the patches have grown: a retry epoch scores its whole queue
 against the patch state at its start, so its decisions do not depend on the
-order it serves its points in.  An accept folds the points into the plane's
-running sums, grows the hull from the members at its vertices and the
-accepted points alone, and refits the Gamma parameters over every member.
+order it serves its points in.  It scores the queue only against the patches
+that accepted points in the epoch before: every other patch is, bit for bit,
+the state that already scored each queued point below its threshold, so it
+can neither clear that threshold nor tie a score that does, and the argmax
+over the remaining patches, in ascending id order, picks the same winner.
+An accept folds the points into the plane's running sums, appends them and
+their positions to the patch's member buffer, grows the hull from the
+members at its vertices and the accepted points alone, and refits the Gamma
+parameters over every member, read off the buffer.
 
 The joint distance has one implementation, ``_joint_distance``, which the
 classifier scores with.  Inside a hull it is (1 + w) times the plane term, so
@@ -35,11 +41,16 @@ w * l^2, with s^2 the plane term and l the point's in-plane distance beyond
 a circle round the hull that holds every point the containment test counts
 inside; the log posterior, (a - 1) * log d - d / b plus terms free of d,
 is then at most its value at that floor, or at the Gamma mode (a - 1) * b
-if the mode lies beyond it.  A pair whose bound falls below the threshold,
-by a margin that covers rounding, scores -inf without the containment test
-or the per-edge boundary distance; it could neither be accepted nor beat a
-posterior that is.  The other pairs are scored exactly, so every decision
-equals the one over the full matrix.
+if the mode lies beyond it.  The floor l needs no in-plane coordinates:
+a point x at signed distance s lies sqrt(|x - c|^2 - s^2) in-plane from
+the circle's centre c lifted onto the hull plane, and a slack derived from
+the operands' magnitudes covers the rounding, also far from the world
+origin (``geometry.HullStack.lateral_floor``).  A pair whose bound falls
+below the threshold, by a margin that covers rounding, scores -inf without
+in-plane coordinates, the containment test or the per-edge boundary
+distance; it could neither be accepted nor beat a posterior that is.  The
+other pairs are scored exactly, so every decision equals the one over the
+full matrix.
 """
 
 from __future__ import annotations
@@ -113,12 +124,43 @@ class GrowConfig:
             raise ValueError("max epochs must be at least 1")
 
 
+class MemberBuffer:
+    """A patch's members and their positions, in acceptance order.
+
+    ``indices`` and ``positions`` are views on the leading rows of arrays
+    with spare room, whose capacity doubles when ``extend`` outgrows it, so
+    extending by k members writes k rows and reads no old ones.
+    """
+
+    def __init__(self, indices: np.ndarray, positions: np.ndarray) -> None:
+        self._indices = np.array(indices, dtype=int).reshape(-1)
+        self._positions = np.array(positions, dtype=float).reshape(-1, 3)
+        if len(self._positions) != len(self._indices):
+            raise ValueError("member positions must match the member indices")
+        self.indices, self.positions = self._indices, self._positions
+
+    def extend(self, indices: np.ndarray, positions: np.ndarray) -> None:
+        start = len(self.indices)
+        end = start + len(indices)
+        if end > len(self._indices):
+            cap = max(2 * len(self._indices), end)
+            self._indices = np.resize(self._indices, cap)
+            self._positions = np.resize(self._positions, (cap, 3))
+        self._indices[start:end] = indices
+        self._positions[start:end] = positions
+        self.indices, self.positions = self._indices[:end], self._positions[:end]
+
+
 @dataclass
 class Patch:
     """A growing planar patch: plane + hull (which carries the plane) + members + theta.
 
     ``members`` is a 1-D int array of cloud indices in acceptance order; any
-    sequence given to the constructor is converted to one.
+    sequence given to the constructor is converted to one.  ``buffer`` holds
+    the members with their positions, and ``members`` is its view while the
+    two agree; seeding and merging fill it, and ``accept`` extends it.  A
+    patch read from disk has no cloud, so its first accept fills it, as it
+    does after ``members`` was replaced.
     """
 
     id: int
@@ -133,6 +175,7 @@ class Patch:
     intensity_override: float | None = None
     # points the seed's residual prune excluded; growth never offers them to this patch
     pruned: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    buffer: MemberBuffer | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.members = np.asarray(self.members, dtype=int).reshape(-1)
@@ -142,6 +185,21 @@ class Patch:
         if self.intensity_override is not None:
             return self.intensity_override
         return 0.5 * (self.pair.ellipse_left.mean_intensity + self.pair.ellipse_right.mean_intensity)
+
+    def fill(self, positions: np.ndarray) -> None:
+        """Buffer the members with their ``positions`` (one row per member, in order)."""
+        self.buffer = MemberBuffer(self.members, positions)
+        self.members = self.buffer.indices
+
+    def extend(self, indices: np.ndarray, positions: np.ndarray) -> None:
+        """Append members with their positions; the buffer must hold ``members``."""
+        self.buffer.extend(indices, positions)
+        self.members = self.buffer.indices
+
+    @property
+    def buffered(self) -> bool:
+        """Whether ``buffer`` holds the members, that is, ``members`` is still its view."""
+        return self.buffer is not None and self.members is self.buffer.indices
 
     def refit(self, member_positions: np.ndarray) -> None:
         """Set theta to ``gamma_mle`` of the members' clamped plane term (1 + w) * s^2.
@@ -227,11 +285,13 @@ class PatchStack:
     (point, patch) pair from above and evaluates exactly only the pairs that
     can clear it.  The joint distance is at least (1 + w) * s^2 + w * l^2,
     where s^2 is the plane term and l the point's distance beyond the hull's
-    bounding circle (``geometry.HullStack.lateral_floor``), so the score is
-    at most its value there, or at the Gamma mode if that lies further out.
-    A pair whose bound, with slack for rounding, is below the threshold
-    scores -inf and never reaches the containment test or the per-edge
-    boundary distance; the other pairs keep their exact scores.
+    bounding circle (``geometry.HullStack.lateral_floor``, from 3D
+    distances), so the score is at most its value there, or at the Gamma
+    mode if that lies further out.  A pair whose bound, with slack for
+    rounding, is below the threshold scores -inf and never reaches the
+    in-plane projection, the containment test or the per-edge boundary
+    distance; the other pairs keep their exact scores.  ``scores`` may be
+    limited to some of the patches (``cols``), without copying the stack.
     """
 
     def __init__(self, patches: list[Patch], positions: np.ndarray, rig: StereoRig) -> None:
@@ -247,6 +307,7 @@ class PatchStack:
             self.blocked[patch.pruned, j] = True
         self._column = {p.id: j for j, p in enumerate(self.patches)}
         n = len(self.patches)
+        self._every = np.arange(n)
         self.hulls = geometry.HullStack([p.hull for p in self.patches])
         self.weight = np.empty(n)
         self.shape = np.empty(n)
@@ -272,41 +333,56 @@ class PatchStack:
         self.mode[j] = (a - 1.0) * b if a > 1.0 else 0.0
         self.hulls.set(j, patch.hull)
 
-    def scores(self, rows: np.ndarray, threshold: np.ndarray | None = None) -> np.ndarray:
-        """(len(rows), n_patches) log posteriors of the given points; blocked entries are -inf.
+    def scores(
+        self, rows: np.ndarray, threshold: np.ndarray | None = None, cols: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(len(rows), len(cols)) log posteriors of the given points against the
+        patches in stack columns ``cols`` (every patch, in order, by default);
+        blocked entries are -inf.
 
         With a (len(rows),) ``threshold``, entries that provably fall below
         their row's threshold are -inf as well; every other entry is exact.
+        In-plane coordinates are computed for the entries the bound keeps.
         """
         points = self.positions[rows]
-        s = self.hulls.signed_dist(points)
+        if cols is None:
+            cols, prior, live = self._every, self.prior[rows], ~self.blocked[rows]
+        else:
+            cols = np.asarray(cols, dtype=int)
+            prior, live = self.prior[np.ix_(rows, cols)], ~self.blocked[np.ix_(rows, cols)]
+        s = self.hulls.signed_dist(points[:, None, :], cols)
         d_plane = s * s
-        q = self.hulls.to_2d(points)
-        prior = self.prior[rows]
-        live = ~self.blocked[rows]
         if threshold is not None:
-            live &= self._may_clear(d_plane, q, prior, np.asarray(threshold, float))
-        i, j = np.nonzero(live)
-        d = _joint_distance(self.hulls, self.weight, j, d_plane[i, j], q[i, j])
+            live &= self._may_clear(points, d_plane, prior, cols, np.asarray(threshold, float))
+        i, k = np.nonzero(live)
+        j = cols[k]
+        q = self.hulls.to_2d(points[i], j)
+        d = _joint_distance(self.hulls, self.weight, j, d_plane[i, k], q)
         scores = np.full(live.shape, -np.inf)
-        scores[i, j] = (
-            (self.shape[j] - 1.0) * np.log(d) - prior[i, j] - d / self.scale[j] + self.log_const[j]
+        scores[i, k] = (
+            (self.shape[j] - 1.0) * np.log(d) - prior[i, k] - d / self.scale[j] + self.log_const[j]
         )
         return scores
 
     def _may_clear(
-        self, d_plane: np.ndarray, q: np.ndarray, prior: np.ndarray, threshold: np.ndarray
+        self,
+        points: np.ndarray,
+        d_plane: np.ndarray,
+        prior: np.ndarray,
+        cols: np.ndarray,
+        threshold: np.ndarray,
     ) -> np.ndarray:
-        """(n, n_patches) False where the score provably stays below the row's threshold."""
-        w = self.weight
-        lateral = self.hulls.lateral_floor(q)
+        """(n, len(cols)) False where the score provably stays below the row's threshold."""
+        w = self.weight[cols]
+        lateral = self.hulls.lateral_floor(points, d_plane, cols)
         floor = ((1.0 + w) * d_plane + w * (lateral * lateral)) * (1.0 - 1e-9)
         # the score rises up to the mode and falls beyond it
-        d = np.maximum(np.maximum(floor, _DIST_CLAMP), self.mode)
-        log_term = (self.shape - 1.0) * np.log(d)
-        ratio = d / self.scale
-        bound = log_term - prior - ratio + self.log_const
-        slack = 1e-9 * (1.0 + np.abs(log_term) + np.abs(prior) + ratio + np.abs(self.log_const))
+        d = np.maximum(np.maximum(floor, _DIST_CLAMP), self.mode[cols])
+        log_term = (self.shape[cols] - 1.0) * np.log(d)
+        ratio = d / self.scale[cols]
+        log_const = self.log_const[cols]
+        bound = log_term - prior - ratio + log_const
+        slack = 1e-9 * (1.0 + np.abs(log_term) + np.abs(prior) + ratio + np.abs(log_const))
         return ~(bound + slack < threshold[:, None])
 
 
@@ -317,6 +393,7 @@ def classify_batch(
     cfg: GrowConfig,
     rig: StereoRig,
     stack: PatchStack | None = None,
+    cols: np.ndarray | None = None,
 ) -> list[int | None]:
     """Best patch for each point, or None below the acceptance threshold.
 
@@ -327,17 +404,22 @@ def classify_batch(
     ``stack`` is the stacked scorer of ``patches`` over ``cloud``, as
     ``grow`` keeps it; without one it is built for this call.  Every point
     is scored against the same patch state, in blocks of ``_SCORE_ROWS``
-    rows.
+    rows.  ``cols`` (ascending) restricts scoring to those patches: the
+    caller vouches that every other patch scores each point below its
+    threshold, as a patch does that has not changed since it last rejected
+    the point, so it could neither win nor tie a winner, and the decisions
+    equal those over every patch.
     """
     if rig.noise_model is None:
         raise ValueError("rig has no calibrated noise model")
     if cloud.penalty is None:
         raise ValueError("cloud has no noise penalties; run attach_penalty first")
     idx = np.asarray(indices, dtype=int)
-    if not patches:
-        return [None] * len(idx)
-    if stack is None:
+    if stack is None and patches:
         stack = PatchStack(patches, cloud.positions, rig)
+    cols = np.arange(len(patches)) if cols is None else np.asarray(cols, dtype=int)
+    if len(cols) == 0:
+        return [None] * len(idx)
     threshold = cfg.log_threshold + cloud.penalty[idx] + noise_model_offset(rig.noise_model)
     best_col = np.empty(len(idx), dtype=int)
     best = np.empty(len(idx))
@@ -345,23 +427,26 @@ def classify_batch(
         block = slice(start, start + _SCORE_ROWS)
         # entries the bound drops were below their row's threshold, so they can
         # neither clear it nor beat a posterior that does
-        scores = stack.scores(idx[block], threshold[block])
+        scores = stack.scores(idx[block], threshold[block], cols)
         # np.argmax returns the first maximum, and patches are kept sorted by id,
         # so exact ties resolve to the lowest patch id
-        best_col[block] = np.argmax(scores, axis=1)
-        best[block] = scores[np.arange(len(scores)), best_col[block]]
+        k = np.argmax(scores, axis=1)
+        best_col[block] = cols[k]
+        best[block] = scores[np.arange(len(scores)), k]
     ok = np.isfinite(best) & (best >= threshold)
-    return [patches[col].id if good else None for col, good in zip(best_col, ok)]
+    ids = [p.id for p in patches]
+    return [ids[col] if good else None for col, good in zip(best_col.tolist(), ok.tolist())]
 
 
 def accept(patch: Patch, cloud: PointCloud, assigned_to: np.ndarray, indices) -> None:
     """Claim points in ``assigned_to``, fold them into the patch, and refresh
     its statistics; a point already claimed raises ValueError first.
 
-    The plane absorbs the new points through its running sums, the hull is
-    rebuilt from the members at its vertices and the new points on the
-    refitted plane (``geometry.update_hull``), and the Gamma parameters are
-    refitted to all members' plane terms in one batch (``Patch.refit``).
+    The plane absorbs the new points through its running sums, the member
+    buffer takes their rows (``Patch.extend``), the hull is rebuilt from the
+    members at its vertices and the new points on the refitted plane
+    (``geometry.update_hull``), and the Gamma parameters are refitted to all
+    members' plane terms in one batch (``Patch.refit``), read off the buffer.
     """
     idx = np.asarray(indices, dtype=int).ravel()
     if len(idx) == 0:
@@ -370,10 +455,12 @@ def accept(patch: Patch, cloud: PointCloud, assigned_to: np.ndarray, indices) ->
         raise ValueError("point already assigned")
     new_pts = cloud.positions[idx]
     patch.plane = geometry.update_fit_many(patch.plane, new_pts)
-    patch.members = np.concatenate([patch.members, idx])
+    if not patch.buffered:
+        patch.fill(cloud.positions[patch.members])
+    patch.extend(idx, new_pts)
     patch.hull = geometry.update_hull(patch.hull, patch.plane, new_pts)
     assigned_to[idx] = patch.id
-    patch.refit(cloud.positions[patch.members])
+    patch.refit(patch.buffer.positions)
 
 
 def check_members(patches: list[Patch], n_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -422,27 +509,32 @@ def _serve_epoch(
     rig: StereoRig,
     stack: PatchStack,
     assigned_to: np.ndarray,
-) -> np.ndarray:
+    cols: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Serve one epoch's queue in batches of ``batch_size`` points; returns the
-    points rejected, in queue order.
+    points rejected, in queue order, and the stack columns, ascending, of the
+    patches that accepted any.
 
     Each batch is classified against the patch state the batches before it
-    left; then each winning patch takes its points of the batch in one
-    ``accept``, in queue order, lowest patch id first, and its stacked row is
-    re-read.
+    left, over the patches in stack columns ``cols`` (every patch by
+    default; see ``classify_batch``); then each winning patch takes its
+    points of the batch in one ``accept``, in queue order, lowest patch id
+    first, and its stacked row is re-read.
     """
     patches = stack.patches
-    patches_by_id = {p.id: p for p in patches}
     rejected = []
+    changed = np.zeros(len(patches), dtype=bool)
     for start in range(0, len(queue), batch_size):
         batch = queue[start : start + batch_size]
-        decisions = classify_batch(patches, cloud, batch, cfg, rig, stack)
+        decisions = classify_batch(patches, cloud, batch, cfg, rig, stack, cols)
         won = np.array([-1 if d is None else d for d in decisions], dtype=int)
         rejected.append(batch[won < 0])
         for pid in np.unique(won[won >= 0]).tolist():
-            accept(patches_by_id[pid], cloud, assigned_to, batch[won == pid])
+            j = stack._column[pid]
+            accept(patches[j], cloud, assigned_to, batch[won == pid])
             stack.refresh(pid)
-    return np.concatenate(rejected)
+            changed[j] = True
+    return np.concatenate(rejected), np.flatnonzero(changed)
 
 
 def grow(
@@ -462,11 +554,14 @@ def grow(
     before it grew.  Each later (retry) epoch serves the points the one
     before rejected: it classifies its whole queue against the patch state
     at the epoch's start, then each winning patch accepts its points at once,
-    so its decisions do not depend on the order of its queue.  The loop ends
-    when an epoch accepts nothing, or after ``max_epochs`` (flagged
-    truncated).  One ``PatchStack`` over the cloud scores every batch, so a
-    patch never takes a point its seed pruned (``Patch.pruned``).  Without
-    patches nothing can be accepted, and no epoch runs.
+    so its decisions do not depend on the order of its queue.  A retry epoch
+    scores its queue only against the patches that accepted points in the
+    epoch before: every other patch is the state that already scored each
+    queued point below its threshold.  The loop ends when an epoch accepts
+    nothing, or after ``max_epochs`` (flagged truncated).  One
+    ``PatchStack`` over the cloud scores every batch, so a patch never takes
+    a point its seed pruned (``Patch.pruned``).  Without patches nothing can
+    be accepted, and no epoch runs.
     """
     if not patches:
         return GrowResult(patches, 0, False, 0)
@@ -479,10 +574,13 @@ def grow(
     epochs = 0
     truncated = False
     accepted_total = 0
+    changed = None
 
     while len(queue):
         batch_size = cfg.batch_size if epochs == 0 else len(queue)
-        rejected = _serve_epoch(queue, batch_size, cloud, cfg, rig, stack, assigned_to)
+        rejected, changed = _serve_epoch(
+            queue, batch_size, cloud, cfg, rig, stack, assigned_to, changed
+        )
         epochs += 1
         accepted_total += len(queue) - len(rejected)
         if len(rejected) == len(queue):

@@ -1,8 +1,11 @@
 """File formats: labeled PLY point clouds and versioned JSON documents.
 
-Every writer is deterministic (fixed key order, shortest-round-trip float
-text) and every reader validates its input strictly enough that a
-write-read-write cycle reproduces the file byte for byte.
+Every writer is deterministic: JSON documents have a fixed key order and
+shortest-round-trip float text, ASCII PLY writes every float as ``%.17g``
+(17 significant digits, which also read back to the same double), and
+binary PLY stores the doubles themselves.  Every reader validates its
+input strictly enough that a write-read-write cycle reproduces the file
+byte for byte.
 """
 
 from __future__ import annotations

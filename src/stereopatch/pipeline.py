@@ -124,20 +124,23 @@ def run_pipeline(
     if not pairs:
         raise PipelineError("no segment pair triangulates")
 
+    # one bounding-box scan per run: it sets the seed radius and the refine gates
+    diagonal = cloud.bbox_diagonal()
+    seed_radius = cfg.seed_cfg.resolve_radius(diagonal)
     patches, assigned_to, rejections = seed_all(
         pairs,
         cloud,
         cfg.seed_cfg,
         boundary_weight=cfg.grow_cfg.boundary_weight,
         intensity_weight=cfg.grow_cfg.intensity_weight,
+        radius=seed_radius,
     )
     if not patches:
         raise PipelineError("no surviving seeds")
 
     grow_result = grow(patches, cloud, cfg.grow_cfg, rig, assigned_to)
 
-    refine_cfg = cfg.refine_cfg.resolved(cloud, cfg.seed_cfg.resolve_radius(cloud))
-    final = refine(grow_result.patches, cloud, refine_cfg)
+    final = refine(grow_result.patches, cloud, cfg.refine_cfg.resolved(diagonal, seed_radius))
     if not final:
         raise PipelineError("no patches survive refinement")
 

@@ -50,13 +50,15 @@ class RefineConfig:
             if value is not None and value < 0:
                 raise ValueError(f"{name} must not be negative")
 
-    def resolved(self, cloud: PointCloud, seed_radius: float) -> "RefineConfig":
+    def resolved(self, diagonal: float, seed_radius: float) -> "RefineConfig":
+        """This config with its gates set, for a cloud whose bounding-box
+        diagonal is ``diagonal`` and seeds of radius ``seed_radius``."""
         hull_dist = self.hull_dist_max
         if hull_dist is None:
             hull_dist = (2.0 * seed_radius) ** 2
         min_area = self.min_area
         if min_area is None:
-            min_area = 1e-4 * cloud.bbox_diagonal() ** 2
+            min_area = 1e-4 * diagonal**2
         return RefineConfig(
             self.normal_dot_min, hull_dist, self.min_members, min_area, self.intensity_tol
         )
@@ -82,6 +84,7 @@ def _merge(a: Patch, b: Patch, cloud: PointCloud) -> Patch:
         a.boundary_weight,
         a.intensity_weight,
     )
+    merged.fill(pts)
     merged.refit(pts)
     na, nb = len(a.members), len(b.members)
     merged.intensity_override = (na * a.mean_intensity + nb * b.mean_intensity) / (na + nb)

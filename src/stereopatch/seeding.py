@@ -65,10 +65,11 @@ class SeedConfig:
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    def resolve_radius(self, cloud: PointCloud) -> float:
+    def resolve_radius(self, diagonal: float) -> float:
+        """The seed radius r0 in a cloud whose bounding-box diagonal is ``diagonal``."""
         if self.radius is not None:
             return float(self.radius)
-        return self.radius_frac * cloud.bbox_diagonal()
+        return self.radius_frac * diagonal
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ def seed_patch(
     return _seed_sphere(
         pair,
         np.sum((cloud.positions - pair.seed) ** 2, axis=1),
-        cfg.resolve_radius(cloud),
+        cfg.resolve_radius(cloud.bbox_diagonal()),
         cloud,
         cfg,
         assigned_to,
@@ -221,7 +222,8 @@ def _seed_sphere(
         intensity_weight,
         pruned=cand[~inliers],
     )
-    patch.refit(cloud.positions[members])
+    patch.fill(cloud.positions[members])
+    patch.refit(patch.buffer.positions)
     assigned_to[members] = patch_id
     return patch
 
@@ -232,16 +234,20 @@ def seed_all(
     cfg: SeedConfig,
     boundary_weight: float = 1.0,
     intensity_weight: float = 1.0,
+    radius: float | None = None,
 ) -> tuple[list[Patch], np.ndarray, list[SeedRejection]]:
     """Seed every segment pair, largest segment first.
 
     Returns the patches, the claims (``assigned_to``) and the rejections.
     Seeds whose r0 sphere overlaps an earlier kept seed's by more than the
     configured fraction are dropped as duplicates.  Patch ids are assigned in
-    acceptance order, so the returned list is sorted by id.
+    acceptance order, so the returned list is sorted by id.  ``radius`` is
+    r0 as ``cfg.resolve_radius`` gives it, for a caller that has resolved it
+    already; by default it is resolved here.
     """
     assigned_to = np.full(len(cloud), -1)
-    radius = cfg.resolve_radius(cloud)
+    if radius is None:
+        radius = cfg.resolve_radius(cloud.bbox_diagonal())
     order = sorted(range(len(pairs)), key=lambda i: (-_area_key(pairs[i].ellipse_left), i))
 
     patches: list[Patch] = []

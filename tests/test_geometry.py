@@ -181,6 +181,20 @@ def test_incremental_equals_batch_fit():
     assert plane.sums[5] == 50
 
 
+def test_each_running_sum_equals_its_own_np_sum():
+    # The nine sums are one row-wise reduction; each row must round as
+    # np.sum does on its own term, also past numpy's 8192-element blocks.
+    rng = np.random.default_rng(10)
+    for k in (1, 3, 8, 9, 129, 8193, 20000):
+        pts = rng.normal(size=(k, 3)) * 30.0 + rng.uniform(-1e3, 1e3, 3)
+        for form in PlaneForm:
+            dep, i1, i2 = geometry._FORM_AXES[form]
+            a, b, w = pts[:, i1], pts[:, i2], pts[:, dep]
+            terms = (a * a, a * b, a, b * b, b, np.ones(k), a * w, b * w, w)
+            expect = np.array([np.sum(t) for t in terms])
+            assert geometry._accumulate(pts, form).tobytes() == expect.tobytes()
+
+
 def test_insertion_order_does_not_matter():
     rng = np.random.default_rng(9)
     pts = rng.uniform(-2, 2, (30, 3))
@@ -356,7 +370,7 @@ def test_lateral_floor_is_zero_inside_and_below_the_boundary_distance_outside():
         inner = np.vstack([w @ h.vertices[:3] for w, h in zip(weights, hulls)])
         points = np.vstack([inner, hulls[0].vertices, rng.uniform(-4.0, 4.0, (30, 3))])
         q = stack.to_2d(points)
-        floor = stack.lateral_floor(q)
+        floor = stack.lateral_floor(points, stack.signed_dist(points) ** 2)
         inside = stack.contains_2d(q)
         assert np.all(floor[inside] == 0.0)
         assert np.all(floor[~inside] ** 2 <= stack.boundary_sq_dist_2d(q)[~inside])

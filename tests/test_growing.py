@@ -588,11 +588,11 @@ def test_growth_keeps_its_stack_equal_to_a_fresh_one(monkeypatch):
     seen = []
     real = growing.classify_batch
 
-    def checked(patches, cloud, indices, cfg, rig, stack=None):
+    def checked(patches, cloud, indices, cfg, rig, stack=None, cols=None):
         fresh = PatchStack(patches, cloud.positions, rig)
         assert np.array_equal(stack.scores(indices), fresh.scores(indices))
         seen.append(stack.hulls.capacity)
-        return real(patches, cloud, indices, cfg, rig, stack)
+        return real(patches, cloud, indices, cfg, rig, stack, cols)
 
     monkeypatch.setattr(growing, "classify_batch", checked)
     result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
@@ -673,6 +673,40 @@ def test_scoring_rows_in_one_block_or_several_decides_alike(monkeypatch):
         assert np.array_equal(members_a, members_b) and theta_a == theta_b
 
 
+def test_a_retry_pass_scores_only_the_patches_that_accepted_in_the_epoch_before(monkeypatch):
+    # A patch that accepted nothing in the epoch before is the state that
+    # already scored each queued point below its threshold.  So each retry
+    # pass scores exactly the patches that accepted in the epoch before, and
+    # every decision equals that of a fresh pass over every patch.
+    scene = build_seeded("chessboard", 300)
+    real_serve, real_classify, real_accept = growing._serve_epoch, growing.classify_batch, growing.accept
+    epochs = []
+
+    def served(*args):
+        epochs.append(SimpleNamespace(passes=[], accepted=set()))
+        return real_serve(*args)
+
+    def classified(patches, cloud, indices, cfg, rig, stack=None, cols=None):
+        decisions = real_classify(patches, cloud, indices, cfg, rig, stack, cols)
+        epochs[-1].passes.append(None if cols is None else [patches[j].id for j in cols])
+        assert decisions == real_classify(patches, cloud, indices, cfg, rig)
+        return decisions
+
+    def accepted(patch, *args):
+        epochs[-1].accepted.add(patch.id)
+        return real_accept(patch, *args)
+
+    monkeypatch.setattr(growing, "_serve_epoch", served)
+    monkeypatch.setattr(growing, "classify_batch", classified)
+    monkeypatch.setattr(growing, "accept", accepted)
+    result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
+    assert len(epochs) == result.epochs > 2 and not result.truncated
+    assert len(epochs[0].passes) > 1 and all(cols is None for cols in epochs[0].passes)
+    for before, epoch in zip(epochs, epochs[1:]):
+        assert epoch.passes == [sorted(before.accepted)]
+    assert any(len(epoch.passes[0]) < len(scene.patches) for epoch in epochs[1:])
+
+
 def test_chessboard_500_grows_without_truncation():
     spec = synth.SceneSpec("chessboard", 500, 0.001, 0)
     rig = synth.default_rig(spec.pixel_noise)
@@ -707,8 +741,8 @@ def test_bounded_classification_decides_as_the_full_matrix(monkeypatch, preset, 
     seen = {"pairs": 0, "dropped": 0}
     real = growing.classify_batch
 
-    def checked(patches, cloud, indices, cfg, rig, stack=None):
-        decisions = real(patches, cloud, indices, cfg, rig, stack)
+    def checked(patches, cloud, indices, cfg, rig, stack=None, cols=None):
+        decisions = real(patches, cloud, indices, cfg, rig, stack, cols)
         idx = np.asarray(indices)
         threshold = cfg.log_threshold + cloud.penalty[idx] + noise_model_offset(rig.noise_model)
         full = stack.scores(idx)
@@ -772,6 +806,77 @@ def test_a_point_the_containment_tolerance_admits_past_a_short_edge_is_never_pru
     full = stack.scores(rows)
     assert np.all(np.isfinite(full))
     assert np.array_equal(stack.scores(rows, full[:, 0] - 1e-6), full)
+
+
+def random_polygon_patch(rng, pid, center, rig, span=1.0):
+    """Patch whose hull spans random points, ``span`` across, on a random plane
+    through ``center``, with a random boundary weight and a steep or a shallow Gamma."""
+    normal = rng.normal(size=3) + [0.0, 0.0, 3.0]
+    normal /= np.linalg.norm(normal)
+    e1 = np.cross(normal, [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    # the plane is fitted to a 2 x 2 square round the hull: its x and y stay
+    # near 0 far from the world origin, so the Z form stays well conditioned
+    corners = center + np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]) @ [e1, e2]
+    plane = fit_plane(corners, PlaneForm.Z)
+    ab = rng.uniform(-0.5 * span, 0.5 * span, (int(rng.integers(3, 14)), 2))
+    hull = build_hull(plane, center + ab[:, :1] * e1 + ab[:, 1:] * e2)
+    pixels = [project_many(camera, center)[0][0] for camera in (rig.camera_left, rig.camera_right)]
+    pair = SegmentPair(circle_ellipse(pixels[0]), circle_ellipse(pixels[1], view="right"), center)
+    theta = GammaParams(float(rng.choice([1.0, 2.5])), float(rng.choice([1e-9, 1e-4, 1e-2])))
+    weight = float(rng.choice([1e-7, 1.0, 1e4]))
+    return Patch(pid, plane, hull, [], theta, pair, weight, 1.0)
+
+
+@pytest.mark.parametrize("depth", [4.0, 1e3, 1e6])
+def test_the_3d_lateral_floor_never_bounds_below_an_exact_score(depth):
+    # The bound takes its lateral floor from 3D distances, |q - c|^2 =
+    # |x - c|^2 - s^2 with c the bounding-circle centre on the hull plane,
+    # and never from in-plane coordinates.  Random tilted patches, at the
+    # canonical depth and far from the world origin, are probed at points
+    # just past their boundaries, high above their planes, and scattered
+    # around.  A threshold equal to an entry's exact score never drops it,
+    # the floor is 0 inside and at most the boundary distance outside.
+    rng = np.random.default_rng(71)
+    rig = synth.default_rig(0.001)
+    positive = 0
+    for trial in range(10):
+        centres = np.array([0.0, 0.0, depth]) + rng.uniform(-1.0, 1.0, (4, 3))
+        spans = rng.choice([1.0, 1e-2], len(centres))
+        patches = [
+            random_polygon_patch(rng, pid, c, rig, span) for pid, (c, span) in enumerate(zip(centres, spans))
+        ]
+        probes = []
+        for p, span in zip(patches, spans):
+            v = p.hull.vertices
+            mid = v.mean(axis=0)
+            out = v + (v - mid) * rng.choice([1e-12, 1e-9, 1e-6, 1e-3, 0.1], (len(v), 1))
+            high = span * rng.choice([-1e4, -1e2, -3.0, 3.0, 1e2, 1e4], (len(v), 1))
+            probes += [out, out + p.hull.normal * high, mid + p.hull.normal * 5.0]
+            # just past the vertex on the bounding circle, where the floor is
+            # tightest, and high above it, where |x - c|^2 - s^2 cancels most
+            far = v[np.argmax(np.sum((v - mid) ** 2, axis=1))]
+            step = span * np.outer([1e-9, 1e-7, 1e-5], (far - mid) / np.linalg.norm(far - mid))
+            lift = span * np.outer([-1e4, -1e2, -1.0, 1.0, 1e2, 1e4], p.hull.normal)
+            probes.append((far + step[:, None, :] + lift[None]).reshape(-1, 3))
+        probes.append(centres.mean(axis=0) + rng.uniform(-2.0, 2.0, (40, 3)))
+        points = np.vstack(probes)
+        stack = PatchStack(patches, points, rig)
+        rows = np.arange(len(points))
+        full = stack.scores(rows)
+        assert np.count_nonzero(np.isfinite(full)) > 0.5 * full.size
+        for j in range(len(patches)):
+            kept = stack.scores(rows, full[:, j], cols=[j])[:, 0]
+            assert np.array_equal(kept, full[:, j])
+        hulls = stack.hulls
+        floor = hulls.lateral_floor(points, hulls.signed_dist(points) ** 2)
+        q = hulls.to_2d(points)
+        inside = hulls.contains_2d(q)
+        assert np.all(floor[inside] == 0.0)
+        assert np.all(floor[~inside] ** 2 <= hulls.boundary_sq_dist_2d(q)[~inside])
+        positive += np.count_nonzero(floor > 0.0)
+    assert positive > 0
 
 
 # -- accepting points ---------------------------------------------------------
@@ -840,6 +945,26 @@ def test_hundred_accepts_equal_scratch_recompute():
         patch.hull.vertices[:, None, :] - scratch_hull.vertices[None, :, :], axis=2
     )
     assert np.max(gaps.min(axis=1)) <= 1e-6
+
+
+def test_a_patch_without_a_member_buffer_fills_it_on_its_first_accept():
+    # A patch read from disk, or copied with its members, has no buffer of
+    # member positions; its first accept gathers them, and from then on it
+    # grows exactly as the seeded patch does from the buffer seeding filled.
+    scene = build_micro(n=900, seed=6)
+    seeded, cloud = scene.patch, scene.cloud
+    assert seeded.buffered
+    bare = replace(seeded)
+    assert not bare.buffered and np.array_equal(bare.members, seeded.members)
+    free = np.flatnonzero(scene.assigned_to < 0)
+    twin_assigned = scene.assigned_to.copy()
+    for batch in np.array_split(free[:300], 9):
+        accept(seeded, cloud, scene.assigned_to, batch)
+        accept(bare, cloud, twin_assigned, batch)
+        assert bare.buffered
+        assert np.array_equal(bare.members, seeded.members) and bare.theta == seeded.theta
+        assert np.array_equal(bare.buffer.positions, cloud.positions[bare.members])
+    assert len(seeded.members) < len(seeded.buffer._indices)  # spare rows: capacity doubles
 
 
 def test_every_accept_keeps_the_hull_equal_to_a_rebuild_over_all_members():
@@ -1015,9 +1140,9 @@ def test_growth_tests_containment_only_for_the_scored_rows(monkeypatch):
         pairs["inside_accept"] += len(accepting)
         return inside_polygons(q, *args)
 
-    def counting_scores(self, idx, threshold=None):
-        pairs["scored"] += len(idx) * len(self.patches)
-        return scores(self, idx, threshold)
+    def counting_scores(self, idx, threshold=None, cols=None):
+        pairs["scored"] += len(idx) * (len(self.patches) if cols is None else len(cols))
+        return scores(self, idx, threshold, cols)
 
     def flagged_accept(*args):
         accepting.append(True)

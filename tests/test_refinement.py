@@ -114,10 +114,10 @@ def test_unresolved_config_is_rejected():
 def test_resolved_fills_only_the_missing_gates():
     rng = np.random.default_rng(63)
     cloud = make_cloud(rect_points(rng, 0, 2, 0, 1))
-    cfg = RefineConfig().resolved(cloud, seed_radius=0.3)
+    cfg = RefineConfig().resolved(cloud.bbox_diagonal(), seed_radius=0.3)
     assert cfg.hull_dist_max == pytest.approx(0.36, rel=1e-12)
     assert cfg.min_area == pytest.approx(1e-4 * cloud.bbox_diagonal() ** 2, rel=1e-12)
-    explicit = RefineConfig(hull_dist_max=2.0, min_area=0.5).resolved(cloud, 0.3)
+    explicit = RefineConfig(hull_dist_max=2.0, min_area=0.5).resolved(cloud.bbox_diagonal(), 0.3)
     assert explicit.hull_dist_max == 2.0
     assert explicit.min_area == 0.5
 

@@ -56,7 +56,7 @@ def test_scene_segments_pair_onto_their_faces(two_plane_scene):
     scene = two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
     assert len(pairs) == len(scene.gt.faces)
-    radius = SeedConfig().resolve_radius(scene.cloud)
+    radius = SeedConfig().resolve_radius(scene.cloud.bbox_diagonal())
     for pair in pairs:
         dists = [
             point_plane_sq_dist_from_coeffs(coeffs, pair.seed)
@@ -130,7 +130,7 @@ def test_members_lie_inside_the_seed_sphere(two_plane_scene):
     scene = two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
     cfg = SeedConfig()
-    radius = cfg.resolve_radius(scene.cloud)
+    radius = cfg.resolve_radius(scene.cloud.bbox_diagonal())
     patches, assigned_to, _ = seed_all(pairs, scene.cloud, cfg)
     for patch in patches:
         member_pts = scene.cloud.positions[np.asarray(patch.members)]
@@ -167,7 +167,7 @@ def test_a_sparse_face_keeps_its_seed_in_a_widened_sphere():
     cloud, gt, segments = synth.generate(spec, rig)
     pairs = segment_to_pairs(segments, rig)
     cfg = SeedConfig()
-    radius = cfg.resolve_radius(cloud)
+    radius = cfg.resolve_radius(cloud.bbox_diagonal())
     patches, _, rejections = seed_all(pairs, cloud, cfg)
     assert (len(patches), rejections) == (2, [])
     reach = [
