@@ -16,10 +16,9 @@ that accepted points in the epoch before: every other patch is, bit for bit,
 the state that already scored each queued point below its threshold, so it
 can neither clear that threshold nor tie a score that does, and the argmax
 over the remaining patches, in ascending id order, picks the same winner.
-An accept folds the points into the plane's running sums, appends them and
-their positions to the patch's member buffer, grows the hull from the
-members at its vertices and the accepted points alone, and refits the Gamma
-parameters over every member, read off the buffer.
+An accept folds the points into the plane's running sums, grows the hull
+from the members at its vertices and the accepted points alone, and refits
+the Gamma parameters over every member.
 
 The joint distance has one implementation, ``_joint_distance``, which the
 classifier scores with.  Inside a hull it is (1 + w) times the plane term, so
@@ -124,43 +123,12 @@ class GrowConfig:
             raise ValueError("max epochs must be at least 1")
 
 
-class MemberBuffer:
-    """A patch's members and their positions, in acceptance order.
-
-    ``indices`` and ``positions`` are views on the leading rows of arrays
-    with spare room, whose capacity doubles when ``extend`` outgrows it, so
-    extending by k members writes k rows and reads no old ones.
-    """
-
-    def __init__(self, indices: np.ndarray, positions: np.ndarray) -> None:
-        self._indices = np.array(indices, dtype=int).reshape(-1)
-        self._positions = np.array(positions, dtype=float).reshape(-1, 3)
-        if len(self._positions) != len(self._indices):
-            raise ValueError("member positions must match the member indices")
-        self.indices, self.positions = self._indices, self._positions
-
-    def extend(self, indices: np.ndarray, positions: np.ndarray) -> None:
-        start = len(self.indices)
-        end = start + len(indices)
-        if end > len(self._indices):
-            cap = max(2 * len(self._indices), end)
-            self._indices = np.resize(self._indices, cap)
-            self._positions = np.resize(self._positions, (cap, 3))
-        self._indices[start:end] = indices
-        self._positions[start:end] = positions
-        self.indices, self.positions = self._indices[:end], self._positions[:end]
-
-
 @dataclass
 class Patch:
     """A growing planar patch: plane + hull (which carries the plane) + members + theta.
 
     ``members`` is a 1-D int array of cloud indices in acceptance order; any
-    sequence given to the constructor is converted to one.  ``buffer`` holds
-    the members with their positions, and ``members`` is its view while the
-    two agree; seeding and merging fill it, and ``accept`` extends it.  A
-    patch read from disk has no cloud, so its first accept fills it, as it
-    does after ``members`` was replaced.
+    sequence given to the constructor is converted to one.
     """
 
     id: int
@@ -175,7 +143,6 @@ class Patch:
     intensity_override: float | None = None
     # points the seed's residual prune excluded; growth never offers them to this patch
     pruned: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    buffer: MemberBuffer | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.members = np.asarray(self.members, dtype=int).reshape(-1)
@@ -185,21 +152,6 @@ class Patch:
         if self.intensity_override is not None:
             return self.intensity_override
         return 0.5 * (self.pair.ellipse_left.mean_intensity + self.pair.ellipse_right.mean_intensity)
-
-    def fill(self, positions: np.ndarray) -> None:
-        """Buffer the members with their ``positions`` (one row per member, in order)."""
-        self.buffer = MemberBuffer(self.members, positions)
-        self.members = self.buffer.indices
-
-    def extend(self, indices: np.ndarray, positions: np.ndarray) -> None:
-        """Append members with their positions; the buffer must hold ``members``."""
-        self.buffer.extend(indices, positions)
-        self.members = self.buffer.indices
-
-    @property
-    def buffered(self) -> bool:
-        """Whether ``buffer`` holds the members, that is, ``members`` is still its view."""
-        return self.buffer is not None and self.members is self.buffer.indices
 
     def refit(self, member_positions: np.ndarray) -> None:
         """Set theta to ``gamma_mle`` of the members' clamped plane term (1 + w) * s^2.
@@ -404,11 +356,15 @@ def classify_batch(
     ``stack`` is the stacked scorer of ``patches`` over ``cloud``, as
     ``grow`` keeps it; without one it is built for this call.  Every point
     is scored against the same patch state, in blocks of ``_SCORE_ROWS``
-    rows.  ``cols`` (ascending) restricts scoring to those patches: the
-    caller vouches that every other patch scores each point below its
-    threshold, as a patch does that has not changed since it last rejected
-    the point, so it could neither win nor tie a winner, and the decisions
-    equal those over every patch.
+    rows.
+
+    ``cols`` is for growth's retry epochs alone (``_serve_epoch``); other
+    callers leave it out.  It restricts scoring to the patches in those
+    stack columns, strictly ascending (ValueError otherwise), and the caller
+    vouches that every other patch scores each point below its threshold, as
+    a patch does that has not changed since it last rejected the point, so
+    it could neither win nor tie a winner and the decisions equal those over
+    every patch.  Nothing here can check that promise.
     """
     if rig.noise_model is None:
         raise ValueError("rig has no calibrated noise model")
@@ -418,6 +374,8 @@ def classify_batch(
     if stack is None and patches:
         stack = PatchStack(patches, cloud.positions, rig)
     cols = np.arange(len(patches)) if cols is None else np.asarray(cols, dtype=int)
+    if np.any(cols[1:] <= cols[:-1]):
+        raise ValueError("cols must be strictly ascending")
     if len(cols) == 0:
         return [None] * len(idx)
     threshold = cfg.log_threshold + cloud.penalty[idx] + noise_model_offset(rig.noise_model)
@@ -442,11 +400,10 @@ def accept(patch: Patch, cloud: PointCloud, assigned_to: np.ndarray, indices) ->
     """Claim points in ``assigned_to``, fold them into the patch, and refresh
     its statistics; a point already claimed raises ValueError first.
 
-    The plane absorbs the new points through its running sums, the member
-    buffer takes their rows (``Patch.extend``), the hull is rebuilt from the
-    members at its vertices and the new points on the refitted plane
-    (``geometry.update_hull``), and the Gamma parameters are refitted to all
-    members' plane terms in one batch (``Patch.refit``), read off the buffer.
+    The plane absorbs the new points through its running sums, the hull is
+    rebuilt from the members at its vertices and the new points on the
+    refitted plane (``geometry.update_hull``), and the Gamma parameters are
+    refitted to all members' plane terms in one batch (``Patch.refit``).
     """
     idx = np.asarray(indices, dtype=int).ravel()
     if len(idx) == 0:
@@ -455,12 +412,10 @@ def accept(patch: Patch, cloud: PointCloud, assigned_to: np.ndarray, indices) ->
         raise ValueError("point already assigned")
     new_pts = cloud.positions[idx]
     patch.plane = geometry.update_fit_many(patch.plane, new_pts)
-    if not patch.buffered:
-        patch.fill(cloud.positions[patch.members])
-    patch.extend(idx, new_pts)
+    patch.members = np.concatenate([patch.members, idx])
     patch.hull = geometry.update_hull(patch.hull, patch.plane, new_pts)
     assigned_to[idx] = patch.id
-    patch.refit(patch.buffer.positions)
+    patch.refit(cloud.positions[patch.members])
 
 
 def check_members(patches: list[Patch], n_points: int) -> tuple[np.ndarray, np.ndarray]:

@@ -131,9 +131,9 @@ def run_pipeline(
         pairs,
         cloud,
         cfg.seed_cfg,
+        seed_radius,
         boundary_weight=cfg.grow_cfg.boundary_weight,
         intensity_weight=cfg.grow_cfg.intensity_weight,
-        radius=seed_radius,
     )
     if not patches:
         raise PipelineError("no surviving seeds")

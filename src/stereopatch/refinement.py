@@ -84,7 +84,6 @@ def _merge(a: Patch, b: Patch, cloud: PointCloud) -> Patch:
         a.boundary_weight,
         a.intensity_weight,
     )
-    merged.fill(pts)
     merged.refit(pts)
     na, nb = len(a.members), len(b.members)
     merged.intensity_override = (na * a.mean_intensity + nb * b.mean_intensity) / (na + nb)

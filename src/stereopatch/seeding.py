@@ -222,8 +222,7 @@ def _seed_sphere(
         intensity_weight,
         pruned=cand[~inliers],
     )
-    patch.fill(cloud.positions[members])
-    patch.refit(patch.buffer.positions)
+    patch.refit(cloud.positions[members])
     assigned_to[members] = patch_id
     return patch
 
@@ -232,9 +231,9 @@ def seed_all(
     pairs: list[SegmentPair],
     cloud: PointCloud,
     cfg: SeedConfig,
+    radius: float,
     boundary_weight: float = 1.0,
     intensity_weight: float = 1.0,
-    radius: float | None = None,
 ) -> tuple[list[Patch], np.ndarray, list[SeedRejection]]:
     """Seed every segment pair, largest segment first.
 
@@ -242,12 +241,10 @@ def seed_all(
     Seeds whose r0 sphere overlaps an earlier kept seed's by more than the
     configured fraction are dropped as duplicates.  Patch ids are assigned in
     acceptance order, so the returned list is sorted by id.  ``radius`` is
-    r0 as ``cfg.resolve_radius`` gives it, for a caller that has resolved it
-    already; by default it is resolved here.
+    r0 as ``cfg.resolve_radius`` gives it for the cloud's bounding-box
+    diagonal.
     """
     assigned_to = np.full(len(cloud), -1)
-    if radius is None:
-        radius = cfg.resolve_radius(cloud.bbox_diagonal())
     order = sorted(range(len(pairs)), key=lambda i: (-_area_key(pairs[i].ellipse_left), i))
 
     patches: list[Patch] = []

@@ -273,6 +273,7 @@ def build_seeded(preset="random-planes-4", points_per_face=150, seed=0):
         pairs,
         cloud,
         cfg.seed_cfg,
+        cfg.seed_cfg.resolve_radius(cloud.bbox_diagonal()),
         cfg.grow_cfg.boundary_weight,
         cfg.grow_cfg.intensity_weight,
     )
@@ -705,6 +706,11 @@ def test_a_retry_pass_scores_only_the_patches_that_accepted_in_the_epoch_before(
     for before, epoch in zip(epochs, epochs[1:]):
         assert epoch.passes == [sorted(before.accepted)]
     assert any(len(epoch.passes[0]) < len(scene.patches) for epoch in epochs[1:])
+    # columns out of order, or repeated, are refused rather than trusted
+    free = np.flatnonzero(scene.assigned_to < 0)[:4]
+    for cols in ([1, 0], [2, 2]):
+        with pytest.raises(ValueError, match="ascending"):
+            real_classify(scene.patches, scene.cloud, free, scene.cfg, scene.rig, None, cols)
 
 
 def test_chessboard_500_grows_without_truncation():
@@ -945,26 +951,6 @@ def test_hundred_accepts_equal_scratch_recompute():
         patch.hull.vertices[:, None, :] - scratch_hull.vertices[None, :, :], axis=2
     )
     assert np.max(gaps.min(axis=1)) <= 1e-6
-
-
-def test_a_patch_without_a_member_buffer_fills_it_on_its_first_accept():
-    # A patch read from disk, or copied with its members, has no buffer of
-    # member positions; its first accept gathers them, and from then on it
-    # grows exactly as the seeded patch does from the buffer seeding filled.
-    scene = build_micro(n=900, seed=6)
-    seeded, cloud = scene.patch, scene.cloud
-    assert seeded.buffered
-    bare = replace(seeded)
-    assert not bare.buffered and np.array_equal(bare.members, seeded.members)
-    free = np.flatnonzero(scene.assigned_to < 0)
-    twin_assigned = scene.assigned_to.copy()
-    for batch in np.array_split(free[:300], 9):
-        accept(seeded, cloud, scene.assigned_to, batch)
-        accept(bare, cloud, twin_assigned, batch)
-        assert bare.buffered
-        assert np.array_equal(bare.members, seeded.members) and bare.theta == seeded.theta
-        assert np.array_equal(bare.buffer.positions, cloud.positions[bare.members])
-    assert len(seeded.members) < len(seeded.buffer._indices)  # spare rows: capacity doubles
 
 
 def test_every_accept_keeps_the_hull_equal_to_a_rebuild_over_all_members():

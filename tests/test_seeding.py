@@ -20,6 +20,11 @@ def circle_ellipse(centroid, intensity=0.5, view="left"):
     return EllipsePrior(np.asarray(centroid, dtype=float), np.array([2.0, 0.0, 2.0]), intensity, view)
 
 
+def _radius(cloud, cfg=SeedConfig()):
+    """The seed radius r0 that ``run_pipeline`` resolves for ``cloud``."""
+    return cfg.resolve_radius(cloud.bbox_diagonal())
+
+
 # -- pairing ------------------------------------------------------------------
 
 
@@ -82,7 +87,9 @@ def test_non_positive_radius_fraction_is_rejected(frac):
 def test_noiseless_seed_recovers_the_plane(quiet_two_plane_scene):
     scene = quiet_two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
-    patches, assigned_to, rejections = seed_all(pairs, scene.cloud, SeedConfig())
+    patches, assigned_to, rejections = seed_all(
+        pairs, scene.cloud, SeedConfig(), _radius(scene.cloud)
+    )
     assert len(patches) == len(scene.gt.faces)
     assert not rejections
     for patch in patches:
@@ -100,7 +107,7 @@ def test_low_noise_seed_planes_are_accurate():
     rig = synth.default_rig(spec.pixel_noise)
     cloud, gt, segments = synth.generate(spec, rig)
     pairs = segment_to_pairs(segments, rig)
-    patches, assigned_to, rejections = seed_all(pairs, cloud, SeedConfig())
+    patches, assigned_to, rejections = seed_all(pairs, cloud, SeedConfig(), _radius(cloud))
     assert len(patches) >= 6
     for patch in patches:
         ssd = min(
@@ -131,7 +138,7 @@ def test_members_lie_inside_the_seed_sphere(two_plane_scene):
     pairs = segment_to_pairs(scene.segments, scene.rig)
     cfg = SeedConfig()
     radius = cfg.resolve_radius(scene.cloud.bbox_diagonal())
-    patches, assigned_to, _ = seed_all(pairs, scene.cloud, cfg)
+    patches, assigned_to, _ = seed_all(pairs, scene.cloud, cfg, radius)
     for patch in patches:
         member_pts = scene.cloud.positions[np.asarray(patch.members)]
         sq = np.sum((member_pts - patch.pair.seed) ** 2, axis=1)
@@ -141,7 +148,7 @@ def test_members_lie_inside_the_seed_sphere(two_plane_scene):
 def test_point_states_are_mutually_exclusive(two_plane_scene):
     scene = two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
-    patches, assigned_to, _ = seed_all(pairs, scene.cloud, SeedConfig())
+    patches, assigned_to, _ = seed_all(pairs, scene.cloud, SeedConfig(), _radius(scene.cloud))
     for patch in patches:
         assigned = assigned_to[np.asarray(patch.members)]
         assert np.all(assigned == patch.id)
@@ -153,7 +160,9 @@ def test_duplicate_seeds_collapse_to_one(two_plane_scene):
     scene = two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
     doubled = [pairs[0], pairs[0], pairs[1]]
-    patches, assigned_to, rejections = seed_all(doubled, scene.cloud, SeedConfig())
+    patches, assigned_to, rejections = seed_all(
+        doubled, scene.cloud, SeedConfig(), _radius(scene.cloud)
+    )
     assert len(patches) == 2
     assert any(r.reason == "duplicate seed" for r in rejections)
 
@@ -168,7 +177,7 @@ def test_a_sparse_face_keeps_its_seed_in_a_widened_sphere():
     pairs = segment_to_pairs(segments, rig)
     cfg = SeedConfig()
     radius = cfg.resolve_radius(cloud.bbox_diagonal())
-    patches, _, rejections = seed_all(pairs, cloud, cfg)
+    patches, _, rejections = seed_all(pairs, cloud, cfg, radius)
     assert (len(patches), rejections) == (2, [])
     reach = [
         np.max(np.sum((cloud.positions[p.members] - p.pair.seed) ** 2, axis=1)) for p in patches
@@ -176,7 +185,8 @@ def test_a_sparse_face_keeps_its_seed_in_a_widened_sphere():
     assert max(reach) > radius**2
     assert max(reach) <= 4.0 * radius**2
     # an explicit radius of the same size widens the same way
-    explicit, _, _ = seed_all(pairs, cloud, SeedConfig(radius=radius))
+    explicit_cfg = SeedConfig(radius=radius)
+    explicit, _, _ = seed_all(pairs, cloud, explicit_cfg, _radius(cloud, explicit_cfg))
     assert [p.members.tolist() for p in explicit] == [p.members.tolist() for p in patches]
 
     run_cfg = pipeline.RunConfig().for_scene(spec.scene_id)
