@@ -29,9 +29,9 @@ vectorised pass: it holds each patch's hull, weight and Gamma parameters
 along a patch axis and evaluates an (n points x n patches) log-posterior
 matrix.  The image-prior term and the two-camera visibility depend only on
 the point and the patch's segment pair, which nothing changes during growth,
-so ``grow`` computes them once for the whole cloud, together with the mask of
-points each seed pruned; after an accept only that patch's row of the stack
-is re-read.
+so ``grow`` computes them once for the whole cloud; after an accept only
+that patch's row of the stack is re-read.  Every free point, a seed's
+residual outliers among them, is offered to every patch it is visible to.
 
 A point asks one question of the patches: does any posterior clear its
 threshold?  So the classifier bounds each (point, patch) score from above
@@ -57,7 +57,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,8 +141,6 @@ class Patch:
     intensity_weight: float = 1.0
     # merged patches carry a member-weighted intensity instead of their pair's
     intensity_override: float | None = None
-    # points the seed's residual prune excluded; growth never offers them to this patch
-    pruned: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     def __post_init__(self) -> None:
         self.members = np.asarray(self.members, dtype=int).reshape(-1)
@@ -220,14 +218,10 @@ def _image_prior(
 class PatchStack:
     """The stacked scorer: the log posterior of points against every patch at once.
 
-    It is built over a fixed point set, the cloud's positions: each patch's
-    seed-pruned points (``Patch.pruned``) are cloud indices, and each bars
-    its row for that patch alone.  So a stack holding seeded patches needs
-    the cloud's rows, and a pruned index outside the stacked rows raises
-    ValueError naming its patch.  Patches without pruned points (hand-built,
-    loaded or merged ones) may be scored over any points.  The image prior,
-    the two-camera visibility and the pruned mask are evaluated once for all
-    of the points, since growth does not change them.  Hulls, weights, Gamma
+    It is built over a fixed point set, any points at all.  The image prior
+    and the (n points,) mask of points visible to both cameras are evaluated
+    once for all of the points, since growth does not change them; a point
+    outside the mask scores -inf against every patch.  Hulls, weights, Gamma
     parameters and the log posterior's constant are stacked along a patch
     axis; ``refresh`` re-reads one patch after it has accepted points.  Each
     entry takes the same floating-point operations, in the same order, as
@@ -249,14 +243,9 @@ class PatchStack:
     def __init__(self, patches: list[Patch], positions: np.ndarray, rig: StereoRig) -> None:
         self.patches = list(patches)
         self.positions = np.atleast_2d(np.asarray(positions, float))
-        self.prior, self.half_log_moments, visible = _image_prior(self.patches, self.positions, rig)
-        self.blocked = np.repeat(~visible[:, None], len(self.patches), axis=1)
-        for j, patch in enumerate(self.patches):
-            if np.any((patch.pruned < 0) | (patch.pruned >= len(self.positions))):
-                raise ValueError(
-                    f"patch {patch.id} bars cloud points outside the {len(self.positions)} stacked rows"
-                )
-            self.blocked[patch.pruned, j] = True
+        self.prior, self.half_log_moments, self.visible = _image_prior(
+            self.patches, self.positions, rig
+        )
         self._column = {p.id: j for j, p in enumerate(self.patches)}
         n = len(self.patches)
         self._every = np.arange(n)
@@ -290,7 +279,7 @@ class PatchStack:
     ) -> np.ndarray:
         """(len(rows), len(cols)) log posteriors of the given points against the
         patches in stack columns ``cols`` (every patch, in order, by default);
-        blocked entries are -inf.
+        the rows of points invisible to either camera are -inf.
 
         With a (len(rows),) ``threshold``, entries that provably fall below
         their row's threshold are -inf as well; every other entry is exact.
@@ -298,12 +287,13 @@ class PatchStack:
         """
         points = self.positions[rows]
         if cols is None:
-            cols, prior, live = self._every, self.prior[rows], ~self.blocked[rows]
+            cols, prior = self._every, self.prior[rows]
         else:
             cols = np.asarray(cols, dtype=int)
-            prior, live = self.prior[np.ix_(rows, cols)], ~self.blocked[np.ix_(rows, cols)]
+            prior = self.prior[np.ix_(rows, cols)]
         s = self.hulls.signed_dist(points[:, None, :], cols)
         d_plane = s * s
+        live = np.repeat(self.visible[rows, None], len(cols), axis=1)
         if threshold is not None:
             live &= self._may_clear(points, d_plane, prior, cols, np.asarray(threshold, float))
         i, k = np.nonzero(live)
@@ -351,12 +341,11 @@ def classify_batch(
 
     The winner is the argmax of the log posteriors (ties go to the lowest
     patch id); it is accepted only when the winning posterior clears
-    log_threshold + noise penalty + noise-model offset for that point.
-    A patch never wins a point it pruned at seeding (``Patch.pruned``).
-    ``stack`` is the stacked scorer of ``patches`` over ``cloud``, as
-    ``grow`` keeps it; without one it is built for this call.  Every point
-    is scored against the same patch state, in blocks of ``_SCORE_ROWS``
-    rows.
+    log_threshold + noise penalty + noise-model offset for that point.  A
+    point that either camera cannot see gets None.  ``stack`` is the stacked
+    scorer of ``patches`` over ``cloud``, as ``grow`` keeps it; without one
+    it is built for this call.  Every point is scored against the same patch
+    state, in blocks of ``_SCORE_ROWS`` rows.
 
     ``cols`` is for growth's retry epochs alone (``_serve_epoch``); other
     callers leave it out.  It restricts scoring to the patches in those
@@ -514,9 +503,9 @@ def grow(
     epoch before: every other patch is the state that already scored each
     queued point below its threshold.  The loop ends when an epoch accepts
     nothing, or after ``max_epochs`` (flagged truncated).  One
-    ``PatchStack`` over the cloud scores every batch, so a patch never takes
-    a point its seed pruned (``Patch.pruned``).  Without patches nothing can
-    be accepted, and no epoch runs.
+    ``PatchStack`` over the cloud scores every batch.  The points a seed's
+    fit left out are free, and served like any other.  Without patches
+    nothing can be accepted, and no epoch runs.
     """
     if not patches:
         return GrowResult(patches, 0, False, 0)

@@ -2,8 +2,8 @@
 
 Each correspondence of segment centroids is triangulated into a 3D seed;
 available points inside the seed sphere form the initial cluster, which is
-fitted, pruned of outliers once, and turned into a patch with hull and Gamma
-distance statistics.
+fitted, refitted without its residual outliers, and turned into a patch with
+hull and Gamma distance statistics.  The outliers stay free for growth.
 """
 
 from __future__ import annotations
@@ -39,31 +39,26 @@ class SeedConfig:
 
     ``radius`` is the seed-sphere radius in world units; when None it is
     resolved to ``radius_frac`` times the cloud bounding-box diagonal, and
-    ``seed_patch`` widens that on sparse data, up to twice its length.
-    ``inlier_residual`` (squared) defaults to nine times the squared median
-    absolute residual of the initial fit, floored at fit precision.
+    ``seed_patch`` widens that on sparse data, up to twice its length, and
+    derives from each seed's own fit the residual bar that leaves its
+    outliers free.
     """
 
     radius: float | None = None
     radius_frac: float = 0.05
     min_cluster: int = 8
-    inlier_residual: float | None = None
     overlap_drop: float = 0.8
 
     def __post_init__(self) -> None:
-        _check_config(
-            self, ("min_cluster",), ("radius_frac", "overlap_drop"), ("radius", "inlier_residual")
-        )
+        _check_config(self, ("min_cluster",), ("radius_frac", "overlap_drop"), ("radius",))
         if self.radius_frac <= 0:
             raise ValueError("radius fraction must be positive")
         if self.min_cluster < 4:
             raise ValueError("min cluster must be at least 4")
         if not 0.0 < self.overlap_drop <= 1.0:
             raise ValueError("overlap fraction must lie in (0, 1]")
-        for name in ("radius", "inlier_residual"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.radius is not None and self.radius <= 0:
+            raise ValueError("radius must be positive")
 
     def resolve_radius(self, diagonal: float) -> float:
         """The seed radius r0 in a cloud whose bounding-box diagonal is ``diagonal``."""
@@ -144,9 +139,10 @@ def seed_patch(
     The sphere holds the free points within the resolved radius r0, widened
     to the ``min_cluster``-th nearest free point, at most to 2 r0.  Returns a SeedRejection (reason
     "sparse seed" or "degenerate seed") instead of raising when the cluster
-    is unusable.  The outliers excluded by the residual prune are kept on
-    the patch as ``Patch.pruned``, and growth never offers them to this patch
-    again (other patches may take them).
+    is unusable.  The members are the sphere's points whose squared residual
+    to the first fit is at most nine times the squared median absolute
+    residual, floored at fit precision, and the plane is refitted to them;
+    the other points stay free, and growth offers them to every patch.
     """
     return _seed_sphere(
         pair,
@@ -191,11 +187,8 @@ def _seed_sphere(
         return SeedRejection("degenerate seed", pair)
 
     residuals = geometry.fit_residuals(plane, pts)
-    if cfg.inlier_residual is not None:
-        threshold = cfg.inlier_residual
-    else:
-        diam = float(np.linalg.norm(np.ptp(pts, axis=0)))
-        threshold = max(9.0 * float(np.median(np.abs(residuals))) ** 2, (1e-9 * diam) ** 2)
+    diam = float(np.linalg.norm(np.ptp(pts, axis=0)))
+    threshold = max(9.0 * float(np.median(np.abs(residuals))) ** 2, (1e-9 * diam) ** 2)
     inliers = residuals * residuals <= threshold
     if np.count_nonzero(inliers) < 3:
         return SeedRejection("degenerate seed", pair)
@@ -220,7 +213,6 @@ def _seed_sphere(
         pair,
         boundary_weight,
         intensity_weight,
-        pruned=cand[~inliers],
     )
     patch.refit(cloud.positions[members])
     assigned_to[members] = patch_id

@@ -11,6 +11,7 @@ those values over a scene is what the Weibull noise model is fitted to.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,10 @@ class StereoRig:
             raise ValueError("projection matrices must be 3x4")
         if not (np.all(np.isfinite(self.camera_left)) and np.all(np.isfinite(self.camera_right))):
             raise ValueError("projection matrices must be finite")
-        if not all(np.isfinite(x) and x >= 0 for x in (self.pixel_noise_left, self.pixel_noise_right)):
-            raise ValueError("pixel noise must be finite and non-negative")
+        # the noise enters as its square (``attach_uncertainty``), which must be finite too
+        noise = (float(self.pixel_noise_left), float(self.pixel_noise_right))
+        if not all(x >= 0 and math.isfinite(x * x) for x in noise):
+            raise ValueError("pixel noise must be non-negative, with a finite square")
         if len(self.image_size) != 2 or min(self.image_size) <= 0:
             raise ValueError(f"image size must be two positive numbers, not {self.image_size!r}")
 

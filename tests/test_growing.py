@@ -278,38 +278,58 @@ def build_seeded(preset="random-planes-4", points_per_face=150, seed=0):
         cfg.grow_cfg.intensity_weight,
     )
     return SimpleNamespace(
-        cloud=cloud, rig=rig, patches=patches, assigned_to=assigned_to, cfg=cfg.grow_cfg
+        cloud=cloud,
+        rig=rig,
+        patches=patches,
+        assigned_to=assigned_to,
+        cfg=cfg.grow_cfg,
+        seed_cfg=cfg.seed_cfg,
     )
+
+
+def seed_fit_outliers(scene):
+    """Each seed's points within r0 that its fit left out, by patch id.
+
+    Every point free when a seed is made and within r0 of it is in its
+    sphere, and seeds never give points up, so such a point joined that
+    seed or was left out of its fit: then it stays free or a later seed,
+    with a higher id, claims it.
+    """
+    radius = scene.seed_cfg.resolve_radius(scene.cloud.bbox_diagonal())
+    outliers = {}
+    for patch in scene.patches:
+        near = np.sum((scene.cloud.positions - patch.pair.seed) ** 2, axis=1) <= radius**2
+        claim = scene.assigned_to[near]
+        outliers[patch.id] = np.flatnonzero(near)[(claim < 0) | (claim > patch.id)]
+    return outliers
 
 
 @pytest.fixture(scope="module")
 def seeded():
     scene = build_seeded()
     assert len(scene.patches) >= 3
-    assert any(len(p.pruned) for p in scene.patches), "the scene should carry seed-pruned points"
     return scene
 
 
-def test_seed_pruned_points_never_join_their_patch():
+def test_a_seed_fit_outlier_joins_its_own_patch_in_growth():
     scene = build_seeded()
-    pruned = {p.id: set(p.pruned.tolist()) for p in scene.patches}
-    assert any(pruned.values())
+    outliers = seed_fit_outliers(scene)
+    assert any(len(o) for o in outliers.values()), "the scene should have seed fit outliers"
     for patch in scene.patches:
-        assert not pruned[patch.id] & set(patch.members)
-        assert np.all(scene.assigned_to[patch.pruned] != patch.id)
+        assert not np.intersect1d(outliers[patch.id], patch.members).size
     result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
     assert result.accepted > 0
-    for patch in result.patches:
-        assert not pruned[patch.id] & set(patch.members)
+    # growth offers a seed's fit outliers to that seed's patch too, and some join it
+    assert any(len(np.intersect1d(outliers[p.id], p.members)) for p in result.patches)
 
 
-def test_a_stack_over_fewer_rows_than_a_seeded_patch_bars_names_the_patch(seeded):
-    patch = next(p for p in seeded.patches if len(p.pruned))
-    with pytest.raises(ValueError, match=f"patch {patch.id} bars cloud points outside the 1 stacked rows"):
-        PatchStack([patch], seeded.cloud.positions[:1], seeded.rig)
-    # over the cloud's rows the same patch stacks, with its pruned rows barred
-    stack = PatchStack([patch], seeded.cloud.positions, seeded.rig)
-    assert np.all(stack.blocked[patch.pruned, 0])
+def test_a_stack_over_a_subset_of_the_rows_scores_them_as_the_full_stack(seeded):
+    rows = np.random.default_rng(3).choice(len(seeded.cloud), size=60, replace=False)
+    full = PatchStack(seeded.patches, seeded.cloud.positions, seeded.rig)
+    part = PatchStack(seeded.patches, seeded.cloud.positions[rows], seeded.rig)
+    expect = full.scores(rows)
+    assert np.array_equal(part.scores(np.arange(len(rows))), expect)
+    assert np.isfinite(expect).any()
 
 
 def test_batch_classification_matches_single_calls(micro, seeded):
@@ -317,9 +337,9 @@ def test_batch_classification_matches_single_calls(micro, seeded):
     for scene, patches in ((micro, [micro.patch]), (seeded, seeded.patches)):
         available = np.flatnonzero(scene.assigned_to < 0)
         idx = rng.choice(available, size=40, replace=False)
-        pruned = np.concatenate([p.pruned for p in patches])
-        barred = pruned[scene.assigned_to[pruned] < 0]
-        idx = np.concatenate([idx, barred[:5]])
+        if scene is seeded:
+            outliers = np.concatenate(list(seed_fit_outliers(scene).values()))
+            idx = np.concatenate([idx, outliers[scene.assigned_to[outliers] < 0][:5]])
         batch = classify_batch(patches, scene.cloud, idx, scene.cfg, scene.rig)
         singles = [
             classify_batch(patches, scene.cloud, [i], scene.cfg, scene.rig)[0] for i in idx
@@ -529,19 +549,11 @@ def test_stacked_scorer_bars_rejected_points_and_ties_to_the_lower_id():
     rows = np.arange(n)
     free = PatchStack(scene.patches, cloud.positions, scene.rig).scores(rows)
 
+    got = classify_batch(scene.patches, cloud, rows, cfg, scene.rig)
     centre_of_2 = scene.n_probes + 2
     assert np.argmax(free[centre_of_2]) == 2
-    patches = list(scene.patches)
-    patches[2] = replace(patches[2], pruned=np.array([centre_of_2]))
-    barred = PatchStack(patches, cloud.positions, scene.rig).scores(rows)
-    assert barred[centre_of_2, 2] == -np.inf
-    barred[centre_of_2, 2] = free[centre_of_2, 2]
-    assert np.array_equal(barred, free)
-
-    got = classify_batch(patches, cloud, rows, cfg, scene.rig)
-    others = free[centre_of_2].copy()
-    others[2] = -np.inf
-    assert got[centre_of_2] == scene.patches[int(np.argmax(others))].id
+    assert got[centre_of_2] == scene.patches[2].id
+    assert np.all(free[-1] == -np.inf)
     assert got[-1] is None  # invisible point
 
     centre_of_1 = scene.n_probes + 1

@@ -299,7 +299,7 @@ def test_patches_roundtrip(tmp_path, two_plane_run):
     )
     assert len(loaded.patches) == len(doc.patches)
     saved = sorted(doc.patches, key=lambda p: p.id)
-    probe = two_plane_run.cloud.positions  # the saved patches' pruned points index the cloud
+    probe = two_plane_run.cloud.positions
     saved_const = PatchStack(saved, probe, two_plane_run.rig).log_const
     loaded_const = PatchStack(loaded.patches, probe, two_plane_run.rig).log_const
     assert saved_const == pytest.approx(loaded_const, rel=1e-15)
@@ -405,8 +405,10 @@ def test_an_empty_config_extracts_like_no_config(tmp_path, capsys):
         '"refine": {"min_area": -1}',
         '"refine": {"hull_dist_max": -1}',
         '"grow": {"intensity_weight": -3}',
+        # inlier_residual is no longer a field, so any value is rejected as unknown
         '"seed": {"inlier_residual": -1}',
         '"seed": {"inlier_residual": 0}',
+        '"seed": {"inlier_residual": 1}',
         '"seed": {"radius": 0}',
         '"seed": {"radius": -0.1}',
         '"presets": {"two-plane": {"grow": {"batch_size": 2.5}}}',
@@ -482,6 +484,7 @@ def _drop(key):
         pytest.param("cameras.json", _set("pixel_noise_left", float("nan")), id="nan-noise"),
         pytest.param("cameras.json", _set("pixel_noise_right", float("inf")), id="inf-noise"),
         pytest.param("cameras.json", _set("pixel_noise_right", -0.001), id="negative-noise"),
+        pytest.param("cameras.json", _set("pixel_noise_right", 1e308), id="noise-square-overflows"),
         pytest.param("cameras.json", _set("camera_left", 0, 0, float("nan")), id="nan-camera"),
         pytest.param("cameras.json", _set("image_size", [-800, 600]), id="negative-image-size"),
         pytest.param("gt.json", _set("faces", 5), id="faces-not-a-list"),

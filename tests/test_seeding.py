@@ -98,8 +98,12 @@ def test_noiseless_seed_recovers_the_plane(quiet_two_plane_scene):
             for coeffs in list(scene.gt.coeffs) + list(-scene.gt.coeffs)
         )
         assert ssd <= 1e-9
-    # No outliers on exact planes: no seed prunes a point.
-    assert all(len(patch.pruned) == 0 for patch in patches)
+    # No outliers on exact planes: each seed takes every point within r0 of
+    # it that no earlier seed (lower id) claimed, and leaves none of them free.
+    r0 = _radius(scene.cloud)
+    for patch in patches:
+        near = np.sum((scene.cloud.positions - patch.pair.seed) ** 2, axis=1) <= r0 * r0
+        assert np.all((assigned_to[near] >= 0) & (assigned_to[near] <= patch.id))
 
 
 def test_low_noise_seed_planes_are_accurate():

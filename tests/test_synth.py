@@ -316,16 +316,19 @@ def test_misassigned_points_are_charged():
 
 
 def test_runtime_probe_scales_monotonically():
-    rows = runtime_probe([1000, 2000, 4000], [2, 4, 8])
-    assert [r["value"] for r in rows] == [1000, 2000, 4000, 2, 4, 8]
-    for row in rows:
-        assert row["error"] == ""
-        assert row["patches"] >= 1
-        assert set(row) == {"axis", "value", "points", "patches", "seconds", "error"}
-    points_rows = [r for r in rows if r["axis"] == "points"]
-    patch_rows = [r for r in rows if r["axis"] == "patches"]
-    assert [r["points"] for r in points_rows] == [1000, 2000, 4000]
-    assert [r["points"] for r in patch_rows] == [800, 1600, 3200]
-    for seq in (points_rows, patch_rows):
-        times = [r["seconds"] for r in seq]
+    # One timing of a 20-40 ms run is at the mercy of the scheduler, so the
+    # order is checked on each row's best time over five probes.
+    probes = [runtime_probe([1000, 2000, 4000], [2, 4, 8]) for _ in range(5)]
+    for rows in probes:
+        assert [r["value"] for r in rows] == [1000, 2000, 4000, 2, 4, 8]
+        for row in rows:
+            assert row["error"] == ""
+            assert row["patches"] >= 1
+            assert set(row) == {"axis", "value", "points", "patches", "seconds", "error"}
+        points_rows = [r for r in rows if r["axis"] == "points"]
+        patch_rows = [r for r in rows if r["axis"] == "patches"]
+        assert [r["points"] for r in points_rows] == [1000, 2000, 4000]
+        assert [r["points"] for r in patch_rows] == [800, 1600, 3200]
+    best = [min(rows[i]["seconds"] for rows in probes) for i in range(6)]
+    for times in (best[:3], best[3:]):
         assert times == sorted(times)
