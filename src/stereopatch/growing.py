@@ -94,13 +94,15 @@ class GrowConfig:
     ``log_threshold`` is the acceptance level in log space; the boundary
     weight mixes the hull distance into the joint point-to-patch distance and
     the intensity weight scales the image-prior contribution, which growth
-    evaluates once per point and patch.  Each point is scored against all
-    patches at once by the stacked scorer (``PatchStack``).  ``batch_size``
-    is the first epoch's batch: that many queued points (32 by default) are
-    classified against the same patch state in one stacked pass before the
-    accepting patches' fits are refreshed, and ``batch_size`` = 1 refreshes
-    them after every point.  Each retry epoch classifies its whole queue in
-    one pass.
+    evaluates once per point and patch.  The two weights reach growth only
+    through ``seeding.seed_all``, which stamps them on each patch it makes:
+    ``grow`` reads each patch's own weights, not these.  Each point is
+    scored against all patches at once by the stacked scorer
+    (``PatchStack``).  ``batch_size`` is the first epoch's batch: that many
+    queued points (32 by default) are classified against the same patch
+    state in one stacked pass before the accepting patches' fits are
+    refreshed, and ``batch_size`` = 1 refreshes them after every point.
+    Each retry epoch classifies its whole queue in one pass.
     """
 
     log_threshold: float = -15.0
@@ -335,38 +337,36 @@ def classify_batch(
     cfg: GrowConfig,
     rig: StereoRig,
     stack: PatchStack | None = None,
-    cols: np.ndarray | None = None,
 ) -> list[int | None]:
     """Best patch for each point, or None below the acceptance threshold.
 
     The winner is the argmax of the log posteriors (ties go to the lowest
     patch id); it is accepted only when the winning posterior clears
     log_threshold + noise penalty + noise-model offset for that point.  A
-    point that either camera cannot see gets None.  ``stack`` is the stacked
-    scorer of ``patches`` over ``cloud``, as ``grow`` keeps it; without one
-    it is built for this call.  Every point is scored against the same patch
+    point that either camera cannot see gets None.  ``stack`` is a stacked
+    scorer over ``cloud`` that holds every patch of ``patches``, and maybe
+    others, which are not scored; ``grow`` keeps one over all its patches.
+    A patch that is not in the stack raises ValueError.  Without a stack one
+    is built for this call.  Every point is scored against the same patch
     state, in blocks of ``_SCORE_ROWS`` rows.
-
-    ``cols`` is for growth's retry epochs alone (``_serve_epoch``); other
-    callers leave it out.  It restricts scoring to the patches in those
-    stack columns, strictly ascending (ValueError otherwise), and the caller
-    vouches that every other patch scores each point below its threshold, as
-    a patch does that has not changed since it last rejected the point, so
-    it could neither win nor tie a winner and the decisions equal those over
-    every patch.  Nothing here can check that promise.
     """
     if rig.noise_model is None:
         raise ValueError("rig has no calibrated noise model")
     if cloud.penalty is None:
         raise ValueError("cloud has no noise penalties; run attach_penalty first")
     idx = np.asarray(indices, dtype=int)
-    if stack is None and patches:
-        stack = PatchStack(patches, cloud.positions, rig)
-    cols = np.arange(len(patches)) if cols is None else np.asarray(cols, dtype=int)
-    if np.any(cols[1:] <= cols[:-1]):
-        raise ValueError("cols must be strictly ascending")
-    if len(cols) == 0:
+    if not patches:
         return [None] * len(idx)
+    if stack is None:
+        stack = PatchStack(patches, cloud.positions, rig)
+    cols = []
+    for patch in patches:
+        j = stack._column.get(patch.id)
+        if j is None or stack.patches[j] is not patch:
+            raise ValueError(f"patch {patch.id} is not in the stack")
+        cols.append(j)
+    # ascending columns, so ties still resolve to the lowest stacked patch
+    cols = np.unique(cols)
     threshold = cfg.log_threshold + cloud.penalty[idx] + noise_model_offset(rig.noise_model)
     best_col = np.empty(len(idx), dtype=int)
     best = np.empty(len(idx))
@@ -381,7 +381,7 @@ def classify_batch(
         best_col[block] = cols[k]
         best[block] = scores[np.arange(len(scores)), k]
     ok = np.isfinite(best) & (best >= threshold)
-    ids = [p.id for p in patches]
+    ids = [p.id for p in stack.patches]
     return [ids[col] if good else None for col, good in zip(best_col.tolist(), ok.tolist())]
 
 
@@ -461,16 +461,20 @@ def _serve_epoch(
 
     Each batch is classified against the patch state the batches before it
     left, over the patches in stack columns ``cols`` (every patch by
-    default; see ``classify_batch``); then each winning patch takes its
-    points of the batch in one ``accept``, in queue order, lowest patch id
-    first, and its stacked row is re-read.
+    default); then each winning patch takes its points of the batch in one
+    ``accept``, in queue order, lowest patch id first, and its stacked row is
+    re-read.  The caller vouches that every patch outside ``cols`` scores
+    each queued point below its threshold, as a patch does that has not
+    changed since it last rejected the point: it could neither win nor tie
+    a winner, so the decisions equal those over every patch.
     """
     patches = stack.patches
+    scored = patches if cols is None else [patches[j] for j in cols]
     rejected = []
     changed = np.zeros(len(patches), dtype=bool)
     for start in range(0, len(queue), batch_size):
         batch = queue[start : start + batch_size]
-        decisions = classify_batch(patches, cloud, batch, cfg, rig, stack, cols)
+        decisions = classify_batch(scored, cloud, batch, cfg, rig, stack)
         won = np.array([-1 if d is None else d for d in decisions], dtype=int)
         rejected.append(batch[won < 0])
         for pid in np.unique(won[won >= 0]).tolist():

@@ -213,13 +213,12 @@ def _ellipse_doc(e: EllipsePrior) -> dict:
     }
 
 
-def _ellipse_from(doc: dict, path, view: str) -> EllipsePrior:
+def _ellipse_from(doc: dict, path) -> EllipsePrior:
     try:
         return EllipsePrior(
             np.asarray(_field(doc, path, "centroid"), float),
             np.asarray(_field(doc, path, "inertia"), float),
             float(_field(doc, path, "mean_intensity")),
-            view,
         )
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad ellipse: {exc}") from None
@@ -289,8 +288,8 @@ def load_segments(path) -> tuple[list[tuple[EllipsePrior, EllipsePrior]], str]:
     for entry in _items(doc, path, "pairs"):
         pairs.append(
             (
-                _ellipse_from(_field(entry, path, "left"), path, "left"),
-                _ellipse_from(_field(entry, path, "right"), path, "right"),
+                _ellipse_from(_field(entry, path, "left"), path),
+                _ellipse_from(_field(entry, path, "right"), path),
             )
         )
     return pairs, str(doc.get("scene_id", ""))
@@ -422,8 +421,8 @@ def load_patches(path) -> ExtractionDocument:
                 members,
                 GammaParams(float(theta_doc["shape"]), float(theta_doc["scale"])),
                 _RestoredPair(
-                    _ellipse_from(_field(entry, path, "ellipse_left"), path, "left"),
-                    _ellipse_from(_field(entry, path, "ellipse_right"), path, "right"),
+                    _ellipse_from(_field(entry, path, "ellipse_left"), path),
+                    _ellipse_from(_field(entry, path, "ellipse_right"), path),
                 ),
                 float(_field(entry, path, "boundary_weight")),
                 float(_field(entry, path, "intensity_weight")),

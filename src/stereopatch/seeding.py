@@ -37,33 +37,26 @@ class SegmentPair:
 class SeedConfig:
     """Seed gathering parameters.
 
-    ``radius`` is the seed-sphere radius in world units; when None it is
-    resolved to ``radius_frac`` times the cloud bounding-box diagonal, and
-    ``seed_patch`` widens that on sparse data, up to twice its length, and
-    derives from each seed's own fit the residual bar that leaves its
-    outliers free.
+    The seed-sphere radius r0 is ``radius_frac`` times the cloud
+    bounding-box diagonal (``resolve_radius``); each sphere widens from it
+    on sparse data, up to twice its length (see ``_seed_sphere``).
     """
 
-    radius: float | None = None
     radius_frac: float = 0.05
     min_cluster: int = 8
     overlap_drop: float = 0.8
 
     def __post_init__(self) -> None:
-        _check_config(self, ("min_cluster",), ("radius_frac", "overlap_drop"), ("radius",))
+        _check_config(self, ("min_cluster",), ("radius_frac", "overlap_drop"))
         if self.radius_frac <= 0:
             raise ValueError("radius fraction must be positive")
         if self.min_cluster < 4:
             raise ValueError("min cluster must be at least 4")
         if not 0.0 < self.overlap_drop <= 1.0:
             raise ValueError("overlap fraction must lie in (0, 1]")
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError("radius must be positive")
 
     def resolve_radius(self, diagonal: float) -> float:
         """The seed radius r0 in a cloud whose bounding-box diagonal is ``diagonal``."""
-        if self.radius is not None:
-            return float(self.radius)
         return self.radius_frac * diagonal
 
 
@@ -124,39 +117,6 @@ def _fallback_theta(
     return gamma_sum_approx(part, part, boundary_weight)
 
 
-def seed_patch(
-    pair: SegmentPair,
-    cloud: PointCloud,
-    cfg: SeedConfig,
-    assigned_to: np.ndarray,
-    patch_id: int,
-    boundary_weight: float = 1.0,
-    intensity_weight: float = 1.0,
-) -> Patch | SeedRejection:
-    """Grow one seed sphere into an initial patch, claiming its members in
-    ``assigned_to`` (each point's patch id, or -1 while free).
-
-    The sphere holds the free points within the resolved radius r0, widened
-    to the ``min_cluster``-th nearest free point, at most to 2 r0.  Returns a SeedRejection (reason
-    "sparse seed" or "degenerate seed") instead of raising when the cluster
-    is unusable.  The members are the sphere's points whose squared residual
-    to the first fit is at most nine times the squared median absolute
-    residual, floored at fit precision, and the plane is refitted to them;
-    the other points stay free, and growth offers them to every patch.
-    """
-    return _seed_sphere(
-        pair,
-        np.sum((cloud.positions - pair.seed) ** 2, axis=1),
-        cfg.resolve_radius(cloud.bbox_diagonal()),
-        cloud,
-        cfg,
-        assigned_to,
-        patch_id,
-        boundary_weight,
-        intensity_weight,
-    )
-
-
 def _seed_sphere(
     pair: SegmentPair,
     d2: np.ndarray,
@@ -168,9 +128,19 @@ def _seed_sphere(
     boundary_weight: float,
     intensity_weight: float,
 ) -> Patch | SeedRejection:
-    """``seed_patch`` given every point's squared distance ``d2`` to the seed
-    and the resolved radius r0, which ``seed_all`` computes once per seed and
-    once per run."""
+    """Grow one seed sphere into an initial patch, claiming its members in
+    ``assigned_to`` (each point's patch id, or -1 while free).
+
+    ``d2`` holds every point's squared distance to the seed and ``radius``
+    is r0, both computed by ``seed_all``.  The sphere holds the free points
+    within r0, widened to the ``min_cluster``-th nearest free point, at most
+    to 2 r0.  Returns a SeedRejection (reason "sparse seed" or "degenerate
+    seed") instead of raising when the cluster is unusable.  The members are
+    the sphere's points whose squared residual to the first fit is at most
+    nine times the squared median absolute residual, floored at fit
+    precision, and the plane is refitted to them; the other points stay
+    free, and growth offers them to every patch.
+    """
     r2 = radius * radius
     free = assigned_to < 0
     k = cfg.min_cluster - 1
@@ -224,8 +194,8 @@ def seed_all(
     cloud: PointCloud,
     cfg: SeedConfig,
     radius: float,
-    boundary_weight: float = 1.0,
-    intensity_weight: float = 1.0,
+    boundary_weight: float,
+    intensity_weight: float,
 ) -> tuple[list[Patch], np.ndarray, list[SeedRejection]]:
     """Seed every segment pair, largest segment first.
 
@@ -234,7 +204,9 @@ def seed_all(
     configured fraction are dropped as duplicates.  Patch ids are assigned in
     acceptance order, so the returned list is sorted by id.  ``radius`` is
     r0 as ``cfg.resolve_radius`` gives it for the cloud's bounding-box
-    diagonal.
+    diagonal.  Every patch carries ``boundary_weight`` and
+    ``intensity_weight``, the run's ``GrowConfig`` values, which growth reads
+    off each patch.
     """
     assigned_to = np.full(len(cloud), -1)
     order = sorted(range(len(pairs)), key=lambda i: (-_area_key(pairs[i].ellipse_left), i))

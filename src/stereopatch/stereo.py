@@ -259,7 +259,6 @@ class EllipsePrior:
     centroid: np.ndarray
     inertia: np.ndarray
     mean_intensity: float
-    view: str = "left"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "centroid", np.asarray(self.centroid, float).reshape(2))

@@ -272,7 +272,7 @@ def polygon_moments_2d(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centroid, second
 
 
-def _face_segment(face: Face, camera: np.ndarray, view: str) -> EllipsePrior | None:
+def _face_segment(face: Face, camera: np.ndarray) -> EllipsePrior | None:
     """Ellipse prior of the face's projected outline, or None if invisible."""
     pixels, valid = project_many(camera, face.vertices)
     if not np.all(valid):
@@ -287,7 +287,7 @@ def _face_segment(face: Face, camera: np.ndarray, view: str) -> EllipsePrior | N
         return None
     try:
         centroid, second = polygon_moments_2d(pixels)
-        return EllipsePrior(centroid, second, face.intensity, view)
+        return EllipsePrior(centroid, second, face.intensity)
     except ValueError:
         return None
 
@@ -327,8 +327,8 @@ def generate(
     segments: list[tuple[EllipsePrior, EllipsePrior]] = []
     usable: list[int] = []
     for fi, face in enumerate(faces):
-        left = _face_segment(face, rig.camera_left, "left")
-        right = _face_segment(face, rig.camera_right, "right")
+        left = _face_segment(face, rig.camera_left)
+        right = _face_segment(face, rig.camera_right)
         if left is None or right is None:
             logger.warning("face %d invisible in one view, excluding its points", fi)
             continue

@@ -26,8 +26,8 @@ from stereopatch.geometry import (
     point_hull_sq_dist_many,
     update_fit_many,
 )
-from stereopatch.growing import Patch, accept
-from stereopatch.seeding import SeedConfig, seed_patch, segment_to_pairs
+from stereopatch.growing import GrowConfig, accept
+from stereopatch.seeding import SeedConfig, seed_all, segment_to_pairs
 from stereopatch.synth import SceneSpec, coeff_ssd, default_rig, generate
 
 import oracles
@@ -54,21 +54,27 @@ def test_noiseless_seed_fit_recovery():
         cloud, gt, segments = generate(spec, rig)
 
         start = time.perf_counter()
-        assigned_to = np.full(len(cloud), -1)
         pairs = segment_to_pairs(segments, rig)
         assert len(pairs) == len(segments), f"{preset}: a centroid pair failed to triangulate"
-        patches = []
-        for pid, pair in enumerate(pairs):
-            patch = seed_patch(pair, cloud, SeedConfig(), assigned_to, pid)
-            assert isinstance(patch, Patch), f"{preset}: face {pid} failed to seed"
-            patches.append(patch)
+        seed_cfg, grow_cfg = SeedConfig(), GrowConfig()
+        patches, _, rejections = seed_all(
+            pairs,
+            cloud,
+            seed_cfg,
+            seed_cfg.resolve_radius(cloud.bbox_diagonal()),
+            grow_cfg.boundary_weight,
+            grow_cfg.intensity_weight,
+        )
         elapsed = time.perf_counter() - start
+        assert not rejections, f"{preset}: {[r.reason for r in rejections]}"
 
         # One segment pair per face, emitted in face order, so each seed is
-        # scored against its own source plane (several presets hold coplanar
-        # faces, which rules out matching by coefficients).
+        # scored against the plane of the face its pair came from (several
+        # presets hold coplanar faces, which rules out matching by
+        # coefficients).
         assert len(patches) == len(gt.faces)
-        for patch, face in zip(patches, gt.faces):
+        for patch in patches:
+            (face,) = [f for f, pair in zip(gt.faces, pairs) if patch.pair is pair]
             ssd = coeff_ssd(patch.plane.implicit, face.coeffs())
             assert ssd <= 1e-9, f"{preset}: face {patch.id}: ssd {ssd:.3e}"
         if len(cloud) >= 5000:

@@ -25,7 +25,6 @@ from stereopatch.seeding import (
     SegmentPair,
     _fallback_theta,
     seed_all,
-    seed_patch,
     segment_to_pairs,
 )
 from stereopatch.stereo import (
@@ -40,10 +39,8 @@ from stereopatch.stereo import (
 import oracles
 
 
-def circle_ellipse(centroid, intensity=0.5, view="left", size=50.0):
-    return EllipsePrior(
-        np.asarray(centroid, dtype=float), np.array([size, 0.0, size]), intensity, view
-    )
+def circle_ellipse(centroid, intensity=0.5, size=50.0):
+    return EllipsePrior(np.asarray(centroid, dtype=float), np.array([size, 0.0, size]), intensity)
 
 
 def square_patch(weight=1.0, zeta=1.0, theta=GammaParams(2.0, 1.0)):
@@ -55,7 +52,7 @@ def square_patch(weight=1.0, zeta=1.0, theta=GammaParams(2.0, 1.0)):
     centroid = np.array([0.5, 0.5, 0.0])
     pair = SegmentPair(
         circle_ellipse(project_many(rig.camera_left, centroid + [0, 0, 4])[0][0]),
-        circle_ellipse(project_many(rig.camera_right, centroid + [0, 0, 4])[0][0], view="right"),
+        circle_ellipse(project_many(rig.camera_right, centroid + [0, 0, 4])[0][0]),
         centroid,
     )
     return (
@@ -92,15 +89,19 @@ def build_micro(n=1000, seed=0, half=0.5, depth=4.0, noise=0.001):
     size = float((edge[0] - pxl[0]) ** 2) / 3.0
     pair = SegmentPair(
         circle_ellipse(pxl, size=size),
-        circle_ellipse(pxr, view="right", size=size),
+        circle_ellipse(pxr, size=size),
         triangulate_many(pxl, pxr, rig)[0][0],
     )
-    assigned_to = np.full(len(cloud), -1)
     cfg = GrowConfig(log_threshold=-15.0, boundary_weight=1e-7)
-    patch = seed_patch(
-        pair, cloud, SeedConfig(), assigned_to, 0, boundary_weight=cfg.boundary_weight
+    seed_cfg = SeedConfig()
+    (patch,), assigned_to, _ = seed_all(
+        [pair],
+        cloud,
+        seed_cfg,
+        seed_cfg.resolve_radius(cloud.bbox_diagonal()),
+        cfg.boundary_weight,
+        cfg.intensity_weight,
     )
-    assert isinstance(patch, Patch)
     return SimpleNamespace(
         cloud=cloud, rig=rig, pair=pair, assigned_to=assigned_to, patch=patch, cfg=cfg
     )
@@ -186,7 +187,7 @@ def test_score_at_a_hull_vertex_under_centred_ellipses():
     vertex = corners[0]
     pair = SegmentPair(
         circle_ellipse(project_many(rig.camera_left, vertex)[0][0]),
-        circle_ellipse(project_many(rig.camera_right, vertex)[0][0], view="right"),
+        circle_ellipse(project_many(rig.camera_right, vertex)[0][0]),
         vertex,
     )
     theta = GammaParams(2.5, 0.3)
@@ -454,12 +455,8 @@ def polygon_patch(pid, n_sides, center, radius, tilt, rig, weight, zeta, theta, 
     assert len(hull.vertices) == n_sides
     mid = corners.mean(axis=0)
     pair = SegmentPair(
-        EllipsePrior(
-            project_many(rig.camera_left, mid)[0][0], np.asarray(inertia, float), 0.5, "left"
-        ),
-        EllipsePrior(
-            project_many(rig.camera_right, mid)[0][0], np.asarray(inertia, float)[::-1], 0.5, "right"
-        ),
+        EllipsePrior(project_many(rig.camera_left, mid)[0][0], np.asarray(inertia, float), 0.5),
+        EllipsePrior(project_many(rig.camera_right, mid)[0][0], np.asarray(inertia, float)[::-1], 0.5),
         mid,
     )
     return Patch(pid, plane, hull, [], theta, pair, weight, zeta)
@@ -601,11 +598,11 @@ def test_growth_keeps_its_stack_equal_to_a_fresh_one(monkeypatch):
     seen = []
     real = growing.classify_batch
 
-    def checked(patches, cloud, indices, cfg, rig, stack=None, cols=None):
-        fresh = PatchStack(patches, cloud.positions, rig)
+    def checked(patches, cloud, indices, cfg, rig, stack=None):
+        fresh = PatchStack(stack.patches, cloud.positions, rig)
         assert np.array_equal(stack.scores(indices), fresh.scores(indices))
         seen.append(stack.hulls.capacity)
-        return real(patches, cloud, indices, cfg, rig, stack, cols)
+        return real(patches, cloud, indices, cfg, rig, stack)
 
     monkeypatch.setattr(growing, "classify_batch", checked)
     result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
@@ -699,10 +696,10 @@ def test_a_retry_pass_scores_only_the_patches_that_accepted_in_the_epoch_before(
         epochs.append(SimpleNamespace(passes=[], accepted=set()))
         return real_serve(*args)
 
-    def classified(patches, cloud, indices, cfg, rig, stack=None, cols=None):
-        decisions = real_classify(patches, cloud, indices, cfg, rig, stack, cols)
-        epochs[-1].passes.append(None if cols is None else [patches[j].id for j in cols])
-        assert decisions == real_classify(patches, cloud, indices, cfg, rig)
+    def classified(patches, cloud, indices, cfg, rig, stack=None):
+        decisions = real_classify(patches, cloud, indices, cfg, rig, stack)
+        epochs[-1].passes.append([p.id for p in patches])
+        assert decisions == real_classify(stack.patches, cloud, indices, cfg, rig)
         return decisions
 
     def accepted(patch, *args):
@@ -714,15 +711,56 @@ def test_a_retry_pass_scores_only_the_patches_that_accepted_in_the_epoch_before(
     monkeypatch.setattr(growing, "accept", accepted)
     result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
     assert len(epochs) == result.epochs > 2 and not result.truncated
-    assert len(epochs[0].passes) > 1 and all(cols is None for cols in epochs[0].passes)
+    every = [p.id for p in scene.patches]
+    assert len(epochs[0].passes) > 1 and all(ids == every for ids in epochs[0].passes)
     for before, epoch in zip(epochs, epochs[1:]):
         assert epoch.passes == [sorted(before.accepted)]
     assert any(len(epoch.passes[0]) < len(scene.patches) for epoch in epochs[1:])
-    # columns out of order, or repeated, are refused rather than trusted
-    free = np.flatnonzero(scene.assigned_to < 0)[:4]
-    for cols in ([1, 0], [2, 2]):
-        with pytest.raises(ValueError, match="ascending"):
-            real_classify(scene.patches, scene.cloud, free, scene.cfg, scene.rig, None, cols)
+    # the order the patches are given in plays no part, and a patch the
+    # stack does not hold, or holds in another state, is refused
+    rows = np.arange(len(scene.cloud))
+    stack = PatchStack(scene.patches, scene.cloud.positions, scene.rig)
+    some = scene.patches[1::2]
+    decisions = real_classify(some, scene.cloud, rows, scene.cfg, scene.rig, stack)
+    assert {d for d in decisions if d is not None} == {p.id for p in some}
+    assert real_classify(some[::-1], scene.cloud, rows, scene.cfg, scene.rig, stack) == decisions
+    stack = PatchStack(scene.patches[:2], scene.cloud.positions, scene.rig)
+    for outside in (scene.patches[2], replace(scene.patches[0])):
+        with pytest.raises(ValueError, match="not in the stack"):
+            real_classify([scene.patches[0], outside], scene.cloud, rows, scene.cfg, scene.rig, stack)
+
+
+@pytest.mark.parametrize("preset, points_per_face", [("two-plane", 1000), ("chessboard", 500)])
+def test_the_staged_library_path_grows_as_run_pipeline(preset, points_per_face):
+    # README's staged path: seed_all with the run's radius and weights, then
+    # grow.  Growth reads the weights off the patches seed_all made.
+    spec = synth.SceneSpec(preset, points_per_face, 0.001, 0)
+    cfg = pipeline.RunConfig().for_scene(spec.scene_id)
+    rig = synth.default_rig(spec.pixel_noise)
+    cloud, _, segments = synth.generate(spec, rig)
+    expected = pipeline.run_pipeline(cloud, rig, segments, cfg).grow_result
+
+    rig = synth.default_rig(spec.pixel_noise)
+    cloud, _, segments = synth.generate(spec, rig)
+    pipeline.prepare(cloud, rig)
+    pairs = segment_to_pairs(segments, rig)
+    patches, assigned_to, _ = seed_all(
+        pairs,
+        cloud,
+        cfg.seed_cfg,
+        cfg.seed_cfg.resolve_radius(cloud.bbox_diagonal()),
+        cfg.grow_cfg.boundary_weight,
+        cfg.grow_cfg.intensity_weight,
+    )
+    got = grow(patches, cloud, cfg.grow_cfg, rig, assigned_to)
+    assert (got.epochs, got.accepted, got.truncated) == (
+        expected.epochs,
+        expected.accepted,
+        expected.truncated,
+    )
+    assert expected.accepted > 0 and len(got.patches) == len(expected.patches)
+    for a, b in zip(got.patches, expected.patches):
+        assert a.id == b.id and np.array_equal(a.members, b.members)
 
 
 def test_chessboard_500_grows_without_truncation():
@@ -759,13 +797,13 @@ def test_bounded_classification_decides_as_the_full_matrix(monkeypatch, preset, 
     seen = {"pairs": 0, "dropped": 0}
     real = growing.classify_batch
 
-    def checked(patches, cloud, indices, cfg, rig, stack=None, cols=None):
-        decisions = real(patches, cloud, indices, cfg, rig, stack, cols)
+    def checked(patches, cloud, indices, cfg, rig, stack=None):
+        decisions = real(patches, cloud, indices, cfg, rig, stack)
         idx = np.asarray(indices)
         threshold = cfg.log_threshold + cloud.penalty[idx] + noise_model_offset(rig.noise_model)
         full = stack.scores(idx)
         bounded = stack.scores(idx, threshold)
-        assert decisions == oracles.threshold_decisions(full, threshold, [p.id for p in patches])
+        assert decisions == oracles.threshold_decisions(full, threshold, [p.id for p in stack.patches])
         dropped = (bounded == -np.inf) & (full != -np.inf)
         assert np.array_equal(bounded, np.where(dropped, -np.inf, full), equal_nan=True)
         assert np.all(full[dropped] < np.broadcast_to(threshold[:, None], full.shape)[dropped])
@@ -841,7 +879,7 @@ def random_polygon_patch(rng, pid, center, rig, span=1.0):
     ab = rng.uniform(-0.5 * span, 0.5 * span, (int(rng.integers(3, 14)), 2))
     hull = build_hull(plane, center + ab[:, :1] * e1 + ab[:, 1:] * e2)
     pixels = [project_many(camera, center)[0][0] for camera in (rig.camera_left, rig.camera_right)]
-    pair = SegmentPair(circle_ellipse(pixels[0]), circle_ellipse(pixels[1], view="right"), center)
+    pair = SegmentPair(circle_ellipse(pixels[0]), circle_ellipse(pixels[1]), center)
     theta = GammaParams(float(rng.choice([1.0, 2.5])), float(rng.choice([1e-9, 1e-4, 1e-2])))
     weight = float(rng.choice([1e-7, 1.0, 1e4]))
     return Patch(pid, plane, hull, [], theta, pair, weight, 1.0)

@@ -33,10 +33,8 @@ def empty_ply_text():
 
 def face_patch(pid, face, members):
     plane = fit_plane(face.vertices, choose_plane_form(face.vertices))
-    ellipse = lambda view: EllipsePrior(
-        np.array([100.0, 100.0]), np.array([40.0, 0.0, 40.0]), face.intensity, view
-    )
-    pair = SegmentPair(ellipse("left"), ellipse("right"), face.vertices.mean(axis=0))
+    ellipse = EllipsePrior(np.array([100.0, 100.0]), np.array([40.0, 0.0, 40.0]), face.intensity)
+    pair = SegmentPair(ellipse, ellipse, face.vertices.mean(axis=0))
     return Patch(
         pid,
         plane,

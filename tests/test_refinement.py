@@ -22,10 +22,8 @@ import oracles
 
 
 def flat_pair(intensity):
-    ellipse = lambda view: EllipsePrior(
-        np.array([100.0, 100.0]), np.array([40.0, 0.0, 40.0]), intensity, view
-    )
-    return SegmentPair(ellipse("left"), ellipse("right"), np.zeros(3))
+    ellipse = EllipsePrior(np.array([100.0, 100.0]), np.array([40.0, 0.0, 40.0]), intensity)
+    return SegmentPair(ellipse, ellipse, np.zeros(3))
 
 
 def make_cloud(positions):

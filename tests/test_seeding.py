@@ -4,25 +4,32 @@ import numpy as np
 import pytest
 
 from stereopatch import pipeline, synth
-from stereopatch.growing import member_labels
+from stereopatch.growing import GrowConfig, member_labels
 from stereopatch.seeding import (
     SeedConfig,
     SeedRejection,
     SegmentPair,
     seed_all,
-    seed_patch,
     segment_to_pairs,
 )
 from stereopatch.stereo import EllipsePrior, PointCloud, project_many
 
 
-def circle_ellipse(centroid, intensity=0.5, view="left"):
-    return EllipsePrior(np.asarray(centroid, dtype=float), np.array([2.0, 0.0, 2.0]), intensity, view)
+def circle_ellipse(centroid, intensity=0.5):
+    return EllipsePrior(np.asarray(centroid, dtype=float), np.array([2.0, 0.0, 2.0]), intensity)
 
 
-def _radius(cloud, cfg=SeedConfig()):
+def _radius(cloud):
     """The seed radius r0 that ``run_pipeline`` resolves for ``cloud``."""
-    return cfg.resolve_radius(cloud.bbox_diagonal())
+    return SeedConfig().resolve_radius(cloud.bbox_diagonal())
+
+
+def _seed(pairs, cloud):
+    """``seed_all`` as ``run_pipeline`` calls it under the default configs."""
+    grow_cfg = GrowConfig()
+    return seed_all(
+        pairs, cloud, SeedConfig(), _radius(cloud), grow_cfg.boundary_weight, grow_cfg.intensity_weight
+    )
 
 
 # -- pairing ------------------------------------------------------------------
@@ -32,7 +39,7 @@ def test_seed_triangulates_from_the_centroids(two_plane_scene):
     rig = two_plane_scene.rig
     target = np.array([0.1, -0.2, 4.0])
     left = circle_ellipse(project_many(rig.camera_left, target)[0][0])
-    right = circle_ellipse(project_many(rig.camera_right, target)[0][0], view="right")
+    right = circle_ellipse(project_many(rig.camera_right, target)[0][0])
     pairs = segment_to_pairs([(left, right)], rig)
     assert len(pairs) == 1
     assert np.max(np.abs(pairs[0].seed - target)) <= 1e-8
@@ -46,10 +53,10 @@ def test_degenerate_centroid_pair_is_dropped(two_plane_scene, caplog):
     rig = two_plane_scene.rig
     target = np.array([0.1, -0.2, 4.0])
     good_l = circle_ellipse(project_many(rig.camera_left, target)[0][0])
-    good_r = circle_ellipse(project_many(rig.camera_right, target)[0][0], view="right")
+    good_r = circle_ellipse(project_many(rig.camera_right, target)[0][0])
     # Identical pixels in both views make the two rays parallel.
     bad = circle_ellipse(np.array([400.0, 300.0]))
-    bad_r = circle_ellipse(np.array([400.0, 300.0]), view="right")
+    bad_r = circle_ellipse(np.array([400.0, 300.0]))
     with caplog.at_level("WARNING"):
         pairs = segment_to_pairs([(good_l, good_r), (bad, bad_r)], rig)
     assert len(pairs) == 1
@@ -87,9 +94,7 @@ def test_non_positive_radius_fraction_is_rejected(frac):
 def test_noiseless_seed_recovers_the_plane(quiet_two_plane_scene):
     scene = quiet_two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
-    patches, assigned_to, rejections = seed_all(
-        pairs, scene.cloud, SeedConfig(), _radius(scene.cloud)
-    )
+    patches, assigned_to, rejections = _seed(pairs, scene.cloud)
     assert len(patches) == len(scene.gt.faces)
     assert not rejections
     for patch in patches:
@@ -111,7 +116,7 @@ def test_low_noise_seed_planes_are_accurate():
     rig = synth.default_rig(spec.pixel_noise)
     cloud, gt, segments = synth.generate(spec, rig)
     pairs = segment_to_pairs(segments, rig)
-    patches, assigned_to, rejections = seed_all(pairs, cloud, SeedConfig(), _radius(cloud))
+    patches, assigned_to, rejections = _seed(pairs, cloud)
     assert len(patches) >= 6
     for patch in patches:
         ssd = min(
@@ -128,21 +133,20 @@ def test_seed_in_empty_space_is_sparse(two_plane_scene):
     scene = two_plane_scene
     lonely = SegmentPair(
         circle_ellipse([100.0, 100.0]),
-        circle_ellipse([90.0, 100.0], view="right"),
+        circle_ellipse([90.0, 100.0]),
         np.array([50.0, 50.0, 50.0]),
     )
-    assigned_to = np.full(len(scene.cloud), -1)
-    out = seed_patch(lonely, scene.cloud, SeedConfig(), assigned_to, 0)
+    patches, assigned_to, (out,) = _seed([lonely], scene.cloud)
+    assert patches == [] and not np.any(assigned_to >= 0)
     assert isinstance(out, SeedRejection)
-    assert out.reason == "sparse seed"
+    assert out.reason == "sparse seed" and out.pair is lonely
 
 
 def test_members_lie_inside_the_seed_sphere(two_plane_scene):
     scene = two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
-    cfg = SeedConfig()
-    radius = cfg.resolve_radius(scene.cloud.bbox_diagonal())
-    patches, assigned_to, _ = seed_all(pairs, scene.cloud, cfg, radius)
+    radius = _radius(scene.cloud)
+    patches, assigned_to, _ = _seed(pairs, scene.cloud)
     for patch in patches:
         member_pts = scene.cloud.positions[np.asarray(patch.members)]
         sq = np.sum((member_pts - patch.pair.seed) ** 2, axis=1)
@@ -152,7 +156,7 @@ def test_members_lie_inside_the_seed_sphere(two_plane_scene):
 def test_point_states_are_mutually_exclusive(two_plane_scene):
     scene = two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
-    patches, assigned_to, _ = seed_all(pairs, scene.cloud, SeedConfig(), _radius(scene.cloud))
+    patches, assigned_to, _ = _seed(pairs, scene.cloud)
     for patch in patches:
         assigned = assigned_to[np.asarray(patch.members)]
         assert np.all(assigned == patch.id)
@@ -164,9 +168,7 @@ def test_duplicate_seeds_collapse_to_one(two_plane_scene):
     scene = two_plane_scene
     pairs = segment_to_pairs(scene.segments, scene.rig)
     doubled = [pairs[0], pairs[0], pairs[1]]
-    patches, assigned_to, rejections = seed_all(
-        doubled, scene.cloud, SeedConfig(), _radius(scene.cloud)
-    )
+    patches, assigned_to, rejections = _seed(doubled, scene.cloud)
     assert len(patches) == 2
     assert any(r.reason == "duplicate seed" for r in rejections)
 
@@ -179,19 +181,14 @@ def test_a_sparse_face_keeps_its_seed_in_a_widened_sphere():
     rig = synth.default_rig(spec.pixel_noise)
     cloud, gt, segments = synth.generate(spec, rig)
     pairs = segment_to_pairs(segments, rig)
-    cfg = SeedConfig()
-    radius = cfg.resolve_radius(cloud.bbox_diagonal())
-    patches, _, rejections = seed_all(pairs, cloud, cfg, radius)
+    radius = _radius(cloud)
+    patches, _, rejections = _seed(pairs, cloud)
     assert (len(patches), rejections) == (2, [])
     reach = [
         np.max(np.sum((cloud.positions[p.members] - p.pair.seed) ** 2, axis=1)) for p in patches
     ]
     assert max(reach) > radius**2
     assert max(reach) <= 4.0 * radius**2
-    # an explicit radius of the same size widens the same way
-    explicit_cfg = SeedConfig(radius=radius)
-    explicit, _, _ = seed_all(pairs, cloud, explicit_cfg, _radius(cloud, explicit_cfg))
-    assert [p.members.tolist() for p in explicit] == [p.members.tolist() for p in patches]
 
     run_cfg = pipeline.RunConfig().for_scene(spec.scene_id)
     result = pipeline.run_pipeline(cloud, rig, segments, run_cfg)

@@ -29,10 +29,8 @@ CHESSBOARD_RMS = 1.4859899898580033e-4
 
 
 def flat_pair(intensity=0.5):
-    ellipse = lambda view: EllipsePrior(
-        np.array([100.0, 100.0]), np.array([40.0, 0.0, 40.0]), intensity, view
-    )
-    return SegmentPair(ellipse("left"), ellipse("right"), np.zeros(3))
+    ellipse = EllipsePrior(np.array([100.0, 100.0]), np.array([40.0, 0.0, 40.0]), intensity)
+    return SegmentPair(ellipse, ellipse, np.zeros(3))
 
 
 def face_patch(pid, face, shift=0.0):
