@@ -6,16 +6,19 @@ in acceptance order; that array is the one record of membership, and
 ``member_labels`` derives each point's patch id from it.  Seeding and growth
 claim points in the int array ``assigned_to`` (patch id, or -1 while free).
 The first epoch serves the unassigned points nearest-camera-first, in
-batches; a point joins the patch with the highest log posterior provided that
-posterior clears a per-point threshold built from the global acceptance level
-and the point's noise penalty.  Rejected points are retried in the next
-epoch, after the patches have grown: a retry epoch scores its whole queue
-against the patch state at its start, so its decisions do not depend on the
-order it serves its points in.  It scores the queue only against the patches
-that accepted points in the epoch before: every other patch is, bit for bit,
-the state that already scored each queued point below its threshold, so it
-can neither clear that threshold nor tie a score that does, and the argmax
-over the remaining patches, in ascending id order, picks the same winner.
+batches as large as the smallest patch, and ``GrowConfig.batch_size`` at
+least: a batch can then at most double a patch before its fit is
+refreshed, and the batches grow as the patches do.  A point joins the patch
+with the highest log posterior provided that posterior clears a per-point
+threshold built from the global acceptance level and the point's noise
+penalty.  Rejected points are retried in the next epoch, after the patches
+have grown: a retry epoch scores its whole queue against the patch state at
+its start, so its decisions do not depend on the order it serves its points
+in.  It scores the queue only against the patches that accepted points in
+the epoch before: every other patch is, bit for bit, the state that already
+scored each queued point below its threshold, so it can neither clear that
+threshold nor tie a score that does, and the argmax over the remaining
+patches, in ascending id order, picks the same winner.
 An accept folds the points into the plane's running sums, grows the hull
 from the members at its vertices and the accepted points alone, and refits
 the Gamma parameters over every member.
@@ -98,11 +101,11 @@ class GrowConfig:
     through ``seeding.seed_all``, which stamps them on each patch it makes:
     ``grow`` reads each patch's own weights, not these.  Each point is
     scored against all patches at once by the stacked scorer
-    (``PatchStack``).  ``batch_size`` is the first epoch's batch: that many
-    queued points (32 by default) are classified against the same patch
-    state in one stacked pass before the accepting patches' fits are
-    refreshed, and ``batch_size`` = 1 refreshes them after every point.
-    Each retry epoch classifies its whole queue in one pass.
+    (``PatchStack``).  ``batch_size`` is the floor of the first epoch's
+    batch (32 by default): each batch classifies that many queued points, or
+    as many as the smallest patch has members if that is more, against the
+    same patch state in one stacked pass before the accepting patches' fits
+    are refreshed.  Each retry epoch classifies its whole queue in one pass.
     """
 
     log_threshold: float = -15.0
@@ -347,8 +350,10 @@ def classify_batch(
     scorer over ``cloud`` that holds every patch of ``patches``, and maybe
     others, which are not scored; ``grow`` keeps one over all its patches.
     A patch that is not in the stack raises ValueError.  Without a stack one
-    is built for this call.  Every point is scored against the same patch
-    state, in blocks of ``_SCORE_ROWS`` rows.
+    is built for this call over the given points alone; a stack scores each
+    point as it would among any other points, so the decisions are the same.
+    Every point is scored against the same patch state, in blocks of
+    ``_SCORE_ROWS`` rows.
     """
     if rig.noise_model is None:
         raise ValueError("rig has no calibrated noise model")
@@ -357,8 +362,10 @@ def classify_batch(
     idx = np.asarray(indices, dtype=int)
     if not patches:
         return [None] * len(idx)
+    rows = idx
     if stack is None:
-        stack = PatchStack(patches, cloud.positions, rig)
+        stack = PatchStack(patches, cloud.positions[idx], rig)
+        rows = np.arange(len(idx))
     cols = []
     for patch in patches:
         j = stack._column.get(patch.id)
@@ -374,7 +381,7 @@ def classify_batch(
         block = slice(start, start + _SCORE_ROWS)
         # entries the bound drops were below their row's threshold, so they can
         # neither clear it nor beat a posterior that does
-        scores = stack.scores(idx[block], threshold[block], cols)
+        scores = stack.scores(rows[block], threshold[block], cols)
         # np.argmax returns the first maximum, and patches are kept sorted by id,
         # so exact ties resolve to the lowest patch id
         k = np.argmax(scores, axis=1)
@@ -445,9 +452,22 @@ class GrowResult:
     accepted: int
 
 
+def _batch_size(floor: int, patches: list[Patch]) -> int:
+    """Points to classify against one patch state: ``floor``, or the smallest
+    patch's member count if that is larger.
+
+    Unless ``floor`` is larger, a batch of that many points can at most
+    double the smallest patch before its fit is refreshed, and a larger
+    patch by less.  While the smallest patch keeps growing, so does the
+    batch, and the first epoch takes a number of passes near the number of
+    times the smallest patch doubles, not the queue length over ``floor``.
+    """
+    return max(floor, min(len(p.members) for p in patches))
+
+
 def _serve_epoch(
     queue: np.ndarray,
-    batch_size: int,
+    floor: int,
     cloud: PointCloud,
     cfg: GrowConfig,
     rig: StereoRig,
@@ -455,25 +475,31 @@ def _serve_epoch(
     assigned_to: np.ndarray,
     cols: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Serve one epoch's queue in batches of ``batch_size`` points; returns the
-    points rejected, in queue order, and the stack columns, ascending, of the
-    patches that accepted any.
+    """Serve one epoch's queue in batches; returns the points rejected, in
+    queue order, and the stack columns, ascending, of the patches that
+    accepted any.
 
-    Each batch is classified against the patch state the batches before it
-    left, over the patches in stack columns ``cols`` (every patch by
-    default); then each winning patch takes its points of the batch in one
-    ``accept``, in queue order, lowest patch id first, and its stacked row is
-    re-read.  The caller vouches that every patch outside ``cols`` scores
-    each queued point below its threshold, as a patch does that has not
-    changed since it last rejected the point: it could neither win nor tie
-    a winner, so the decisions equal those over every patch.
+    Before each batch its size is set anew by ``_batch_size``: ``floor``
+    points, or as many as the smallest patch has members, if that is more,
+    so the batches grow with the patches and a ``floor`` of ``len(queue)``
+    serves the whole queue in one batch.  Each batch is classified against
+    the patch state the batches before it left, over the patches in stack
+    columns ``cols`` (every patch by default); then each winning patch takes
+    its points of the batch in one ``accept``, in queue order, lowest patch
+    id first, and its stacked row is re-read.  The caller vouches that
+    every patch outside ``cols`` scores each queued point below its
+    threshold, as a patch does that has not changed since it last rejected
+    the point: it could neither win nor tie a winner, so the decisions equal
+    those over every patch.
     """
     patches = stack.patches
     scored = patches if cols is None else [patches[j] for j in cols]
     rejected = []
     changed = np.zeros(len(patches), dtype=bool)
-    for start in range(0, len(queue), batch_size):
-        batch = queue[start : start + batch_size]
+    start = 0
+    while start < len(queue):
+        batch = queue[start : start + _batch_size(floor, patches)]
+        start += len(batch)
         decisions = classify_batch(scored, cloud, batch, cfg, rig, stack)
         won = np.array([-1 if d is None else d for d in decisions], dtype=int)
         rejected.append(batch[won < 0])
@@ -497,12 +523,14 @@ def grow(
     The first epoch serves every point free in ``assigned_to``, nearest
     first, by the sum of squared distances to the two camera centers (equal
     sums go to the higher index first), so near points are classified while
-    the patches are still small.  It serves them in batches of
-    ``cfg.batch_size``, each classified against the patches the batches
-    before it grew.  Each later (retry) epoch serves the points the one
-    before rejected: it classifies its whole queue against the patch state
-    at the epoch's start, then each winning patch accepts its points at once,
-    so its decisions do not depend on the order of its queue.  A retry epoch
+    the patches are still small.  It serves them in batches, each
+    classified against the patches the batches before it grew; a batch
+    holds ``cfg.batch_size`` points, or as many as the smallest patch has
+    members if that is more, so the batches grow as the patches do.  Each
+    later (retry) epoch serves the points the one before rejected: it
+    classifies its whole queue against the patch state at the epoch's start,
+    then each winning patch accepts its points at once, so its decisions do
+    not depend on the order of its queue.  A retry epoch
     scores its queue only against the patches that accepted points in the
     epoch before: every other patch is the state that already scored each
     queued point below its threshold.  The loop ends when an epoch accepts
@@ -525,10 +553,8 @@ def grow(
     changed = None
 
     while len(queue):
-        batch_size = cfg.batch_size if epochs == 0 else len(queue)
-        rejected, changed = _serve_epoch(
-            queue, batch_size, cloud, cfg, rig, stack, assigned_to, changed
-        )
+        floor = cfg.batch_size if epochs == 0 else len(queue)
+        rejected, changed = _serve_epoch(queue, floor, cloud, cfg, rig, stack, assigned_to, changed)
         epochs += 1
         accepted_total += len(queue) - len(rejected)
         if len(rejected) == len(queue):

@@ -349,6 +349,27 @@ def test_batch_classification_matches_single_calls(micro, seeded):
         assert any(b is not None for b in batch)
 
 
+def test_classification_without_a_stack_stacks_the_given_points_alone(seeded, monkeypatch):
+    # The stack built for one call holds the points it classifies, not the
+    # whole cloud, and decides as a stack over the whole cloud does.
+    sizes = []
+
+    class Recorded(PatchStack):
+        def __init__(self, patches, positions, rig):
+            sizes.append(len(positions))
+            super().__init__(patches, positions, rig)
+
+    monkeypatch.setattr(growing, "PatchStack", Recorded)
+    idx = np.arange(0, len(seeded.cloud), 7)
+    got = classify_batch(seeded.patches, seeded.cloud, idx, seeded.cfg, seeded.rig)
+    one = classify_batch(seeded.patches, seeded.cloud, idx[:1], seeded.cfg, seeded.rig)
+    assert sizes == [len(idx), 1] and len(seeded.cloud) > len(idx)
+    full = PatchStack(seeded.patches, seeded.cloud.positions, seeded.rig)
+    assert got == classify_batch(seeded.patches, seeded.cloud, idx, seeded.cfg, seeded.rig, full)
+    assert one == got[:1]
+    assert any(d is not None for d in got)
+
+
 def test_no_patches_classify_nothing(micro):
     idx = np.arange(5)
     assert classify_batch([], micro.cloud, idx, micro.cfg, micro.rig) == [None] * 5
@@ -612,8 +633,9 @@ def test_growth_keeps_its_stack_equal_to_a_fresh_one(monkeypatch):
 
 def test_growth_classifies_a_batch_of_queued_points_per_stacked_pass_by_default(monkeypatch):
     # The first epoch classifies its queue, every free point, in passes of
-    # batch_size points; each retry epoch classifies its whole queue, every
-    # point still free, in one pass.
+    # batch_size points, or of as many as the smallest patch has members if
+    # that is more; each retry epoch classifies its whole queue, every point
+    # still free, in one pass.
     assert GrowConfig().batch_size == 32
     real = growing.classify_batch
     micro, chess = build_micro(n=900, seed=11), build_seeded("chessboard", 300)
@@ -623,21 +645,52 @@ def test_growth_classifies_a_batch_of_queued_points_per_stacked_pass_by_default(
         calls = []
 
         def counted(patches, cloud, indices, *args):
-            calls.append((np.asarray(indices), np.flatnonzero(scene.assigned_to < 0)))
+            smallest = min(len(p.members) for p in patches)
+            calls.append((np.asarray(indices), np.flatnonzero(scene.assigned_to < 0), smallest))
             return real(patches, cloud, indices, *args)
 
         monkeypatch.setattr(growing, "classify_batch", counted)
         result = grow(patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
         assert result.accepted > 0 and not result.truncated
-        first = -(-len(free) // 32)
-        rows = [len(idx) for idx, _ in calls]
-        assert rows[: first - 1] == [32] * (first - 1) and 0 < rows[first - 1] <= 32
-        assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in calls[:first]])), free)
+        rows = [len(idx) for idx, _, _ in calls]
+        first = int(np.searchsorted(np.cumsum(rows), len(free))) + 1
+        sizes = [max(32, smallest) for _, _, smallest in calls[:first]]
+        assert rows[: first - 1] == sizes[:-1] and 0 < rows[first - 1] <= sizes[-1]
+        assert max(sizes) > 32  # the batches grew with the patches
+        assert np.array_equal(np.sort(np.concatenate([idx for idx, _, _ in calls[:first]])), free)
         assert len(calls) == first + result.epochs - 1
-        for idx, free_now in calls[first:]:
+        for idx, free_now, _ in calls[first:]:
             assert np.array_equal(np.sort(idx), free_now)
     # the chessboard retries long queues, longer than one row block
     assert result.epochs > 2 and max(rows[first:]) > growing._SCORE_ROWS
+
+
+def test_the_first_epoch_takes_about_as_many_passes_at_four_times_the_points(monkeypatch):
+    # Batches as large as the smallest patch: the first epoch's pass count
+    # follows the patches' doublings, not the point count over batch_size
+    # (which would make four times as many passes at four times the points).
+    real_serve, real_classify = growing._serve_epoch, growing.classify_batch
+    passes = []
+
+    def served(*args):
+        passes.append(0)
+        return real_serve(*args)
+
+    def classified(*args):
+        passes[-1] += 1
+        return real_classify(*args)
+
+    monkeypatch.setattr(growing, "_serve_epoch", served)
+    monkeypatch.setattr(growing, "classify_batch", classified)
+    first = {}
+    for points_per_face in (1000, 4000):
+        scene = build_seeded("two-plane", points_per_face)
+        passes.clear()
+        grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
+        first[points_per_face] = passes[0]
+    assert first[4000] <= first[1000] + 10
+    # and under a quarter of the passes that fixed batches of 32 would take
+    assert first[4000] < 2 * 4000 // 32 // 4
 
 
 def test_a_retry_epoch_decides_independently_of_its_queue_order(monkeypatch):
@@ -650,11 +703,11 @@ def test_a_retry_epoch_decides_independently_of_its_queue_order(monkeypatch):
         scene = build_seeded("chessboard", 300)
         retried = []
 
-        def served(queue, batch_size, *args):
-            if batch_size == len(queue) and shuffle:
+        def served(queue, floor, *args):
+            if floor == len(queue) and shuffle:
                 queue = rng.permutation(queue)
-            retried.append(batch_size == len(queue))
-            return real(queue, batch_size, *args)
+            retried.append(floor == len(queue))
+            return real(queue, floor, *args)
 
         monkeypatch.setattr(growing, "_serve_epoch", served)
         result = grow(scene.patches, scene.cloud, scene.cfg, scene.rig, scene.assigned_to)
@@ -1149,16 +1202,19 @@ def test_membership_only_grows():
     assert seed_members <= set(result.patches[0].members)
 
 
-def test_batched_growth_matches_single_stepping():
+def test_batched_growth_matches_single_stepping(monkeypatch):
     # On one isolated face no two queued points can flip each other's
-    # winner, so batching may only change the update cadence, not the set.
+    # winner, so batching may only change the update cadence, not the set:
+    # one point per pass ends with the members the derived batches give.
+    real = growing._batch_size
     outcomes = []
-    for batch in (1, 8):
+    for size in (lambda floor, patches: 1, real):
+        monkeypatch.setattr(growing, "_batch_size", size)
         scene = build_micro(n=900, seed=9)
-        cfg = replace(scene.cfg, log_threshold=-25.0, batch_size=batch)
+        cfg = replace(scene.cfg, log_threshold=-25.0)
         result = grow([scene.patch], scene.cloud, cfg, scene.rig, scene.assigned_to)
-        outcomes.append(frozenset(result.patches[0].members))
-    assert outcomes[0] == outcomes[1]
+        outcomes.append((result.accepted, frozenset(result.patches[0].members)))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] > 0
 
 
 def test_growth_tests_containment_only_for_the_scored_rows(monkeypatch):
