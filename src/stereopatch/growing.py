@@ -372,8 +372,9 @@ def classify_batch(
         if j is None or stack.patches[j] is not patch:
             raise ValueError(f"patch {patch.id} is not in the stack")
         cols.append(j)
-    # ascending columns, so ties still resolve to the lowest stacked patch
-    cols = np.unique(cols)
+    # ascending columns, so ties still resolve to the lowest stacked patch (not
+    # np.unique, which imports numpy.ma on its first call)
+    cols = np.array(sorted(set(cols)), dtype=int)
     threshold = cfg.log_threshold + cloud.penalty[idx] + noise_model_offset(rig.noise_model)
     best_col = np.empty(len(idx), dtype=int)
     best = np.empty(len(idx))
@@ -503,7 +504,7 @@ def _serve_epoch(
         decisions = classify_batch(scored, cloud, batch, cfg, rig, stack)
         won = np.array([-1 if d is None else d for d in decisions], dtype=int)
         rejected.append(batch[won < 0])
-        for pid in np.unique(won[won >= 0]).tolist():
+        for pid in sorted(set(won[won >= 0].tolist())):
             j = stack._column[pid]
             accept(patches[j], cloud, assigned_to, batch[won == pid])
             stack.refresh(pid)

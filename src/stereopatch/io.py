@@ -3,14 +3,18 @@
 Every writer is deterministic: JSON documents have a fixed key order and
 shortest-round-trip float text, ASCII PLY writes every float as ``%.17g``
 (17 significant digits, which also read back to the same double), and
-binary PLY stores the doubles themselves.  Every reader validates its
-input strictly enough that a write-read-write cycle reproduces the file
-byte for byte.
+binary PLY stores the doubles themselves.  An ASCII write of a cloud read
+from ASCII rows does not format its numbers again: it copies each row's
+number text from the file it was read from and appends the new label, as
+long as the cloud's columns still hold the values read and the file still
+holds those rows.  Every reader validates its input strictly enough that a
+write-read-write cycle reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +30,10 @@ FORMAT_VERSION = 1
 
 _PLY_FLOAT_PROPS = ("x", "y", "z", "px_u", "px_v", "pxp_u", "pxp_v")
 _PLY_DTYPE = np.dtype([(name, "<f8") for name in _PLY_FLOAT_PROPS] + [("label", "<i4")])
+_LABEL_RANGE = (-(2**31), 2**31 - 1)  # the header's "property int label"
+# the bytes of ASCII rows that np.fromstring reads as float() does: what
+# "%.17g" and "%d" write, the field separator and the row end
+_ROW_BYTES = b"0123456789+-.eE \n"
 
 
 class InputError(ValueError):
@@ -48,6 +56,45 @@ def _ply_header(count: int, scene_id: str | None, binary: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class _RowSource:
+    """Where a cloud's ASCII rows were read: the file and the offset of the rows
+    in it, with the hashes of the rows and of the bytes of the columns read
+    from them.  ``hash`` of bytes is a keyed 64-bit SipHash, stable within one
+    process, and needs no import."""
+
+    path: Path
+    offset: int
+    body_hash: int
+    columns_hash: int
+
+
+def _separators(body: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the newlines and of the spaces in ``body``."""
+    chars = np.frombuffer(body, dtype=np.uint8)
+    return np.flatnonzero(chars == ord("\n")), np.flatnonzero(chars == ord(" "))
+
+
+def _source_rows(cloud: PointCloud, columns: np.ndarray) -> bytes | None:
+    """The ASCII rows ``load_cloud`` read the cloud from, while its columns
+    still equal the values read, bit for bit, and its file still holds those
+    rows; otherwise None.
+
+    The rows are read again rather than kept: holding them through a run
+    would add their size to its peak memory.
+    """
+    source = getattr(cloud, "_row_source", None)
+    if source is None or hash(columns.tobytes()) != source.columns_hash:
+        return None
+    try:
+        with open(source.path, "rb") as fh:
+            fh.seek(source.offset)
+            body = fh.read()
+    except OSError:
+        return None
+    return body if hash(body) == source.body_hash else None
+
+
 def save_cloud(
     path,
     cloud: PointCloud,
@@ -55,13 +102,22 @@ def save_cloud(
     scene_id: str | None = None,
     binary: bool = False,
 ) -> None:
-    """Write the cloud as PLY with pixel-pair and label vertex properties."""
+    """Write the cloud as PLY with pixel-pair and label vertex properties.
+
+    Labels must fit the header's 32-bit int.  An ASCII write of a cloud that
+    ``load_cloud`` read from ASCII rows copies each row's number text from
+    that file and appends the new label, while the cloud's columns still
+    equal the values read, bit for bit, and the file is unchanged.  It writes
+    every other cloud's floats as ``%.17g``.
+    """
     n = len(cloud)
     if labels is None:
         labels = np.full(n, -1)
     labels = np.asarray(labels, int).reshape(-1)
     if len(labels) != n:
         raise ValueError("labels must match the point count")
+    if n and (labels.min() < _LABEL_RANGE[0] or labels.max() > _LABEL_RANGE[1]):
+        raise ValueError("labels must fit a 32-bit int")
     header = _ply_header(n, scene_id, binary)
     columns = np.hstack([cloud.positions, cloud.pixels_left, cloud.pixels_right])
     if binary:
@@ -71,13 +127,67 @@ def save_cloud(
         rows["label"] = labels
         Path(path).write_bytes(header.encode("ascii") + rows.tobytes())
         return
+    body = _source_rows(cloud, columns)
+    if body is not None:
+        # each row up to its seventh space, then the new label
+        labels = labels.tolist()
+        newlines, spaces = _separators(body)
+        starts = [0, *(newlines[:-1] + 1).tolist()]
+        label_text = {label: b"%d\n" % label for label in set(labels)}
+        rows = [
+            body[start:end] + label_text[label]
+            for start, end, label in zip(starts, (spaces[6::7] + 1).tolist(), labels)
+        ]
+        Path(path).write_bytes(header.encode("ascii") + b"".join(rows))
+        return
     row = "%.17g %.17g %.17g %.17g %.17g %.17g %.17g %d\n"  # _PLY_FLOAT_PROPS, then the label
     body = "".join(row % (*values, label) for values, label in zip(columns.tolist(), labels.tolist()))
     Path(path).write_text(header + body)
 
 
+def _read_plain_rows(body: bytes, count: int) -> tuple[np.ndarray, list[int]] | None:
+    """Columns and labels of ``count`` plain ASCII rows, or None.
+
+    A plain row is eight fields of ``_ROW_BYTES`` separated by single spaces
+    and ended by a newline, as the writers write it.  np.fromstring reads
+    those floats in one pass with the routine float() uses, so a plain body
+    loads to the arrays the per-line loop in ``load_cloud`` gives.  Any other
+    body, and any label that int() refuses or that lies outside the header's
+    int range, returns None, for the loop to read or to reject with its
+    message.
+    """
+    if body.translate(None, _ROW_BYTES) or not body.endswith(b"\n"):
+        return None
+    newlines, spaces = _separators(body)
+    if len(newlines) != count or len(spaces) != 7 * count:
+        return None
+    spaces = spaces.reshape(count, 7)
+    # each row's separators, from the newline before it to its own: seven
+    # spaces in every row, with at least one byte between any two of them
+    previous = np.concatenate([[-1], newlines[:-1]])
+    if np.any(np.diff(np.column_stack([previous, spaces, newlines]), axis=1) < 2):
+        return None
+    try:
+        labels = [int(body[a + 1 : b]) for a, b in zip(spaces[:, 6].tolist(), newlines.tolist())]
+        # older numpy warns, instead of raising, when a token is left unread
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(body, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if len(values) != 8 * count or min(labels) < _LABEL_RANGE[0] or max(labels) > _LABEL_RANGE[1]:
+        return None
+    columns = values.reshape(count, 8)[:, :7].copy()
+    return columns, labels
+
+
 def load_cloud(path) -> tuple[PointCloud, np.ndarray, str | None]:
-    """Read a labeled PLY cloud; returns (cloud, labels, scene_id)."""
+    """Read a labeled PLY cloud; returns (cloud, labels, scene_id).
+
+    Labels must fit the header's 32-bit int.  A cloud read from ASCII rows in
+    the writers' form remembers where they are, for ``save_cloud`` to copy
+    their number text.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -87,7 +197,8 @@ def load_cloud(path) -> tuple[PointCloud, np.ndarray, str | None]:
     if not raw.startswith(b"ply\n") or cut < 0:
         raise InputError(f"{path}: not a ply file")
     header_lines = raw[:cut].decode("ascii", "replace").splitlines()
-    body = raw[cut + len(marker):]
+    offset = cut + len(marker)
+    body = raw[offset:]
 
     binary = None
     count = None
@@ -126,6 +237,7 @@ def load_cloud(path) -> tuple[PointCloud, np.ndarray, str | None]:
     if count == 0:
         raise InputError(f"{path}: empty point cloud")
 
+    source = None
     if binary:
         need = count * _PLY_DTYPE.itemsize
         if len(body) != need:
@@ -133,6 +245,10 @@ def load_cloud(path) -> tuple[PointCloud, np.ndarray, str | None]:
         rows = np.frombuffer(body, dtype=_PLY_DTYPE, count=count)
         columns = np.column_stack([rows[name] for name in _PLY_FLOAT_PROPS])
         labels = rows["label"].astype(int)
+    elif (plain := _read_plain_rows(body, count)) is not None:
+        columns, label_list = plain
+        labels = np.array(label_list, dtype=int)
+        source = _RowSource(Path(path).absolute(), offset, hash(body), hash(columns.tobytes()))
     else:
         lines = body.decode("ascii", "replace").splitlines()
         if len(lines) != count:
@@ -148,13 +264,20 @@ def load_cloud(path) -> tuple[PointCloud, np.ndarray, str | None]:
                 )
             try:
                 columns[i] = [float(v) for v in fields[:7]]
-                labels[i] = int(fields[7])
+                label = int(fields[7])
             except ValueError:
                 raise InputError(f"{path}: line {header_len + i}: bad numeric field") from None
+            if not _LABEL_RANGE[0] <= label <= _LABEL_RANGE[1]:
+                raise InputError(
+                    f"{path}: line {header_len + i}: label {label} outside the 32-bit int range"
+                )
+            labels[i] = label
     if not np.all(np.isfinite(columns)):
         raise InputError(f"{path}: non-finite vertex values")
 
     cloud = PointCloud(columns[:, 0:3], columns[:, 3:5], columns[:, 5:7])
+    if source is not None:
+        cloud._row_source = source
     return cloud, labels, scene_id
 
 

@@ -69,7 +69,8 @@ def _merge(a: Patch, b: Patch, cloud: PointCloud) -> Patch:
 
     A degenerate distance sample keeps the first patch's theta.
     """
-    members = np.union1d(a.members, b.members)
+    # the sorted union (np.union1d imports numpy.ma on its first call)
+    members = np.array(sorted({*a.members.tolist(), *b.members.tolist()}), dtype=int)
     pts = cloud.positions[members]
     form = geometry.choose_plane_form(pts)
     plane = geometry.fit_plane(pts, form)

@@ -7,6 +7,8 @@ incremental monotone chain, scipy.stats instead of hand-rolled log pdfs.
 Tests compare the two routes; neither side is derived from the other.
 The oracles for the package's exact bounds are the other kind: the same
 computation without the bound, so a pruned result must equal it bit for bit.
+So is the PLY row reader: one line at a time, which the one-pass reader of
+ASCII rows must equal, array for array and message for message.
 """
 
 import numpy as np
@@ -370,3 +372,42 @@ def montecarlo_polygon_moments(verts2d, n=400_000, seed=0):
     d = kept - c
     cov = d.T @ d / len(kept)
     return c, cov
+
+
+# -- PLY rows ----------------------------------------------------------------
+
+PLY_LABEL_RANGE = (-(2**31), 2**31 - 1)  # the header's "property int label"
+
+
+def per_line_ply_rows(path, count):
+    """The ASCII vertex rows of a PLY file read one line at a time, as the
+    package's loader read every ASCII body before its one-pass reader.
+
+    Returns (columns (count, 7), labels), or raises ValueError with the
+    loader's message.  Like the loader, it numbers the first vertex row as
+    the end_header line.
+    """
+    raw = open(path, "rb").read()
+    cut = raw.find(b"end_header\n")
+    first_line = len(raw[:cut].decode("ascii", "replace").splitlines()) + 1
+    body = raw[cut + len(b"end_header\n"):]
+    lines = body.decode("ascii", "replace").splitlines()
+    if len(lines) != count:
+        raise ValueError(f"{path}: expected {count} vertex rows, found {len(lines)}")
+    columns = np.empty((count, 7))
+    labels = np.empty(count, dtype=int)
+    for i, line in enumerate(lines):
+        fields = line.split()
+        if len(fields) != 8:
+            raise ValueError(f"{path}: line {first_line + i}: expected 8 fields, found {len(fields)}")
+        try:
+            columns[i] = [float(v) for v in fields[:7]]
+            label = int(fields[7])
+        except ValueError:
+            raise ValueError(f"{path}: line {first_line + i}: bad numeric field") from None
+        if not PLY_LABEL_RANGE[0] <= label <= PLY_LABEL_RANGE[1]:
+            raise ValueError(f"{path}: line {first_line + i}: label {label} outside the 32-bit int range")
+        labels[i] = label
+    if not np.all(np.isfinite(columns)):
+        raise ValueError(f"{path}: non-finite vertex values")
+    return columns, labels

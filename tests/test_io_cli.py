@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from stereopatch import cli, io, pipeline
 from stereopatch.distributions import GammaParams, WeibullParams
 from stereopatch.geometry import build_hull, choose_plane_form, fit_plane
@@ -185,6 +188,138 @@ def test_malformed_ply_files_are_rejected(tmp_path):
     short_row.write_text("\n".join(lines) + "\n")
     with pytest.raises(io.InputError, match="expected 8 fields"):
         io.load_cloud(short_row)
+
+
+def ply_header_text(count):
+    return io._ply_header(count, None, False)
+
+
+def test_an_ascii_cloud_changed_in_place_is_written_with_its_new_values(tmp_path):
+    cloud, labels = small_cloud(n=6)
+    path = tmp_path / "cloud.ply"
+    io.save_cloud(path, cloud, labels)
+    loaded, got_labels, _ = io.load_cloud(path)
+    loaded.positions[2, 1] = 0.25
+    loaded.pixels_right[4, 0] = -loaded.pixels_right[4, 0]
+    again = tmp_path / "again.ply"
+    io.save_cloud(again, loaded, got_labels)
+    back, back_labels, _ = io.load_cloud(again)
+    assert back.positions[2, 1] == 0.25
+    assert np.array_equal(back.pixels_right, loaded.pixels_right)
+    assert np.array_equal(back.positions, loaded.positions)
+    assert np.array_equal(back_labels, labels)
+    # 0.0 and -0.0 compare equal; the reused text must still go
+    text = tmp_path / "zero.ply"
+    text.write_text(ply_header_text(1) + "0 1 2 3 4 5 6 7\n")
+    zero, _, _ = io.load_cloud(text)
+    zero.positions[0, 0] = -0.0
+    io.save_cloud(text, zero, [1])
+    assert text.read_text().endswith("end_header\n-0 1 2 3 4 5 6 1\n")
+
+
+def test_a_hand_written_ascii_cloud_keeps_its_number_text(tmp_path):
+    rows = ["0.5 1e-3 +2 3. .25 1E2 -0 7\n", "-1.5 0.001 2 3 4 5 6 -1\n"]
+    path = tmp_path / "cloud.ply"
+    path.write_text(ply_header_text(2) + "".join(rows))
+    cloud, labels, _ = io.load_cloud(path)
+    assert np.array_equal(labels, [7, -1])
+    out = tmp_path / "labeled.ply"
+    io.save_cloud(out, cloud, [-1, 3])
+    assert out.read_text() == ply_header_text(2) + "0.5 1e-3 +2 3. .25 1E2 -0 -1\n" + (
+        "-1.5 0.001 2 3 4 5 6 3\n"
+    )
+    back, back_labels, _ = io.load_cloud(out)
+    columns = np.hstack([cloud.positions, cloud.pixels_left, cloud.pixels_right])
+    back_columns = np.hstack([back.positions, back.pixels_left, back.pixels_right])
+    assert back_columns.tobytes() == columns.tobytes()
+    assert np.array_equal(back_labels, [-1, 3])
+    # a new cloud on the same arrays was not read from rows: "%.17g"
+    io.save_cloud(out, PointCloud(cloud.positions, cloud.pixels_left, cloud.pixels_right), [0, 0])
+    assert out.read_text().endswith("0.5 0.001 2 3 0.25 100 -0 0\n-1.5 0.001 2 3 4 5 6 0\n")
+
+
+def test_a_cloud_whose_file_changed_after_loading_is_written_from_its_values(tmp_path):
+    path = tmp_path / "cloud.ply"
+    path.write_text(ply_header_text(1) + "5e-1 1 2 3 4 5 6 7\n")
+    cloud, _, _ = io.load_cloud(path)
+    out = tmp_path / "out.ply"
+    io.save_cloud(out, cloud, [1])
+    assert out.read_text().endswith("end_header\n5e-1 1 2 3 4 5 6 1\n")
+    path.write_text(ply_header_text(1) + "2.5e-1 1 2 3 4 5 6 7\n")
+    io.save_cloud(out, cloud, [2])
+    assert out.read_text().endswith("end_header\n0.5 1 2 3 4 5 6 2\n")
+    path.unlink()
+    io.save_cloud(out, cloud, [3])
+    assert out.read_text().endswith("end_header\n0.5 1 2 3 4 5 6 3\n")
+
+
+# ASCII rows of a tiny cloud, mutated one edit at a time; the reader must
+# give what the per-line reference gives, arrays or message.
+_TOKENS = [
+    "1_0", "nan(1)", "5.", "0x10", "inf", "-inf", "nan", "1e999", "+5", "05", "-0", ".5",
+    "1e-3", "1e", "-", "1.2.3", "1-2", "2147483647", "2147483648", "-2147483648",
+    "-2147483649", str(2**40 + 5), str(2**70), "7",
+]
+_EDIT_KINDS = ["token"] * 4 + [
+    "tab", "double space", "lead space", "trail space", "crlf", "drop field", "extra field",
+    "drop newline", "blank row", "text after newline",
+]
+_EDITS = st.tuples(
+    st.sampled_from(_EDIT_KINDS),
+    st.sampled_from(range(4)),
+    st.sampled_from([7, 7, 7, 0, 1, 2, 3, 4, 5, 6]),  # the label field three times as often
+    st.sampled_from(_TOKENS),
+)
+
+
+def _edit_rows(rows, endings, edit):
+    kind, r, f, token = edit
+    fields = rows[r].split(" ")
+    f %= len(fields)
+    if kind == "token":
+        fields[f] = token
+    elif kind == "tab":
+        fields[f] = "\t" + fields[f]
+    elif kind == "double space":
+        fields[f] = " " + fields[f]
+    elif kind == "drop field":
+        del fields[f]
+    elif kind == "extra field":
+        fields.insert(f, "1")
+    rows[r] = " ".join(fields)
+    if kind == "lead space":
+        rows[r] = " " + rows[r]
+    elif kind == "trail space":
+        rows[r] += " "
+    edited = {"crlf": "\r\n", "drop newline": "", "blank row": "\n\n", "text after newline": "\n8"}
+    endings[r] = edited.get(kind, endings[r])
+
+
+@settings(
+    max_examples=400, deadline=None, database=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(edits=st.lists(_EDITS, min_size=1, max_size=3))
+def test_the_ascii_reader_equals_the_per_line_reference(tmp_path, edits):
+    rows = ["0.5 -1.25 3 1e-3 2.5e2 -7 8.125 0", "1 2 3 4 5 6 7 -1",
+            "0.1 0.2 0.30000000000000004 4 5 6 7 2", "-0.5 1 1 1 1 1 1 3"]
+    endings = ["\n"] * len(rows)
+    for edit in edits:
+        _edit_rows(rows, endings, edit)
+    body = "".join(row + ending for row, ending in zip(rows, endings))
+    path = tmp_path / "mutant.ply"
+    path.write_text(ply_header_text(4) + body, newline="")
+    try:
+        expect = oracles.per_line_ply_rows(path, 4)
+    except ValueError as exc:
+        with pytest.raises(io.InputError) as got:
+            io.load_cloud(path)
+        assert str(got.value) == str(exc)
+        return
+    cloud, labels, _ = io.load_cloud(path)
+    columns = np.hstack([cloud.positions, cloud.pixels_left, cloud.pixels_right])
+    assert columns.tobytes() == expect[0].tobytes()
+    assert labels.dtype == expect[1].dtype and np.array_equal(labels, expect[1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -457,6 +592,16 @@ def _set(*keys_and_value):
     return mutate
 
 
+def _set_ply_label(row, value):
+    """Mutation of a PLY file's lines that sets the label of vertex row ``row``."""
+
+    def mutate(lines):
+        i = lines.index("end_header\n") + 1 + row
+        lines[i] = lines[i].rsplit(" ", 1)[0] + f" {value}\n"
+
+    return mutate
+
+
 def _drop(key):
     """Mutation that deletes a top-level key, as in a file written before it existed."""
 
@@ -520,6 +665,9 @@ def _drop(key):
         pytest.param("patches.json", _set("epochs", 1.5), id="fractional-epochs"),
         pytest.param("patches.json", _set("accepted", True), id="boolean-accepted"),
         pytest.param("patches.json", _set("truncated", "no"), id="string-truncated"),
+        pytest.param("cloud.ply", _set_ply_label(3, 2**70), id="label-overflows-int64"),
+        pytest.param("cloud.ply", _set_ply_label(3, 2**40 + 5), id="label-outside-int32"),
+        pytest.param("cloud.ply", _set_ply_label(0, -(2**31) - 1), id="label-below-int32"),
     ],
 )
 def test_cli_rejects_out_of_range_and_mistyped_input_files(tmp_path, small_scene, name, mutate):
@@ -535,11 +683,17 @@ def test_cli_rejects_out_of_range_and_mistyped_input_files(tmp_path, small_scene
         "gt.json": gt_path,
         "patches.json": patches_path,
     }
-    doc = json.loads(files[name].read_text())
-    mutate(doc)
+    if name.endswith(".ply"):
+        lines = files[name].read_text().splitlines(keepends=True)
+        mutate(lines)
+        text = "".join(lines)
+    else:
+        doc = json.loads(files[name].read_text())
+        mutate(doc)
+        text = json.dumps(doc)
     files[name] = tmp_path / "broken" / name
     files[name].parent.mkdir()
-    files[name].write_text(json.dumps(doc))
+    files[name].write_text(text)
     if name in ("gt.json", "patches.json"):
         argv = ["eval", "--gt", files["gt.json"], "--patches", files["patches.json"]]
     else:
@@ -701,6 +855,28 @@ def test_cli_extract_runs_and_reruns_identically(tmp_path, capsys):
     assert int(row[1]) == 2
     assert float(row[3]) < 1e-2
     assert float(row[4]) <= 0.1
+
+
+def test_cli_extract_writes_the_same_files_from_an_ascii_cloud_and_its_binary_copy(tmp_path, capsys):
+    # synth writes "%.17g", so the ASCII input's reused row text is what the
+    # binary input's floats format to
+    scene = synth_dir(tmp_path, "scene", "--points-per-face", "500")
+    cloud, labels, scene_id = io.load_cloud(scene / "cloud.ply")
+    binary = tmp_path / "binary.ply"
+    io.save_cloud(binary, cloud, labels, scene_id, binary=True)
+    outs = []
+    for source in (scene / "cloud.ply", binary):
+        out = tmp_path / source.stem
+        code, _, _ = run_cli(
+            capsys, "extract", "--cloud", source,
+            "--cameras", scene / "cameras.json",
+            "--segments", scene / "segments.json",
+            "--out-dir", out,
+        )
+        assert code == 0
+        outs.append(out)
+    for name in ("patches.json", "labeled.ply", "report.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_cli_extract_output_does_not_depend_on_the_seed(tmp_path, capsys):
@@ -909,3 +1085,30 @@ def test_importing_the_cli_leaves_scipy_spatial_and_optimize_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] [] []"
     assert (out / "patches.json").exists()
+
+
+def test_an_extract_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median and np.unique import numpy.ma (about 14 ms) on their first
+    # call, which every extract process would pay
+    import subprocess
+    import sys
+
+    scene = tmp_path / "scene"
+    assert cli.main(["synth", "--preset", "path", "--points-per-face", "300", "--out-dir", str(scene)]) == 0
+    code = (
+        "import sys, stereopatch.cli\n"
+        "scene, out = sys.argv[1:]\n"
+        "extract = ['extract', '--cloud', scene + '/cloud.ply', '--cameras', scene + '/cameras.json',\n"
+        "           '--segments', scene + '/segments.json', '--out-dir', out]\n"
+        "print(stereopatch.cli.main(extract), 'numpy.ma' in sys.modules)"
+    )
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(scene), str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert "patches: 3" in proc.stdout

@@ -9,6 +9,7 @@ from stereopatch.seeding import (
     SeedConfig,
     SeedRejection,
     SegmentPair,
+    _median,
     seed_all,
     segment_to_pairs,
 )
@@ -193,3 +194,18 @@ def test_a_sparse_face_keeps_its_seed_in_a_widened_sphere():
     run_cfg = pipeline.RunConfig().for_scene(spec.scene_id)
     result = pipeline.run_pipeline(cloud, rig, segments, run_cfg)
     assert synth.classification_error(gt, result.patches) <= 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 101, 1000])
+def test_the_partition_median_equals_np_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    cases = [
+        rng.standard_normal(n),
+        np.abs(rng.standard_normal(n)) ** 2 * 1e-300,
+        np.round(rng.standard_normal(n), 1),  # ties
+        rng.choice([0.0, -0.0, 1.0], size=n),  # signed zeros
+        np.full(n, -0.0),
+    ]
+    for values in cases:
+        got, expect = _median(values.copy()), np.median(values)
+        assert np.float64(got).tobytes() == np.float64(expect).tobytes()
